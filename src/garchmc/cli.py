@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class RunManifest:
             raise DomainError(f"news-impact grid needs min < max, got [{self.nic_min}, {self.nic_max}]")
         if self.nic_points < 2:
             raise DomainError(f"news-impact grid needs at least 2 points, got {self.nic_points}")
+        if self.config.total_samples < diagnostics.MIN_SAMPLES:
+            raise DomainError(f"run needs --samples >= {diagnostics.MIN_SAMPLES}, got {self.config.total_samples}")
 
 
 def _fmt(value: float) -> str:
@@ -77,26 +79,25 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_samples_csv(path: Path, result: ChainResult) -> None:
-    lines = [",".join(result.param_names)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in result.samples)
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+    """Header line, then one line per row with every cell formatted by `_fmt`."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _write_samples_csv(path: Path, result: ChainResult) -> None:
+    _write_csv(path, result.param_names, result.samples)
 
 
 def _write_acf_csv(path: Path, result: ChainResult) -> None:
-    n = result.samples.shape[0]
-    max_lag = min(ACF_MAX_LAG, n - 1)
-    columns = [diagnostics.acf(result.samples[:, j], max_lag) for j in range(len(result.param_names))]
-    lines = ["lag," + ",".join(result.param_names)]
-    for lag in range(max_lag + 1):
-        lines.append(str(lag) + "," + ",".join(_fmt(col[lag]) for col in columns))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    max_lag = min(ACF_MAX_LAG, result.samples.shape[0] - 1)
+    columns = [diagnostics.acf(col, max_lag) for col in result.samples.T]
+    _write_csv(path, ("lag", *result.param_names), zip(range(max_lag + 1), *columns))
 
 
 def _write_acceptance_csv(path: Path, result: ChainResult) -> None:
-    lines = ["window,acceptance"]
-    lines.extend(f"{i + 1},{_fmt(a)}" for i, a in enumerate(result.acceptance_trace))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(path, ("window", "acceptance"), enumerate(result.acceptance_trace, 1))
 
 
 def _write_moments_json(path: Path, result: ChainResult, nu: float) -> None:
@@ -117,10 +118,7 @@ def _write_moments_json(path: Path, result: ChainResult, nu: float) -> None:
 
 def write_news_impact_csv(path: Path, params: model.ModelParams, grid: Sequence[float]) -> None:
     """Emit the news impact curve as a (y, sigma_sq) CSV."""
-    curve = model.news_impact_curve(params, grid)
-    lines = ["y,sigma_sq"]
-    lines.extend(f"{_fmt(y)},{_fmt(s)}" for y, s in curve)
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    _write_csv(Path(path), ("y", "sigma_sq"), model.news_impact_curve(params, grid))
 
 
 def _load_input(manifest: RunManifest) -> data.ReturnSeries:
@@ -162,11 +160,8 @@ def simulate(params: model.ModelParams, n: int, sigma1_sq: float, seed: int, out
     """Write a synthetic return CSV consumable by `run --input-kind returns`."""
     returns = data.simulate_qgarch(params, n, sigma1_sq, seed)
     out_path = Path(out_path)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["return"]
-    lines.extend(_fmt(v) for v in returns.values)
-    _atomic_write(out_path, "\n".join(lines) + "\n")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_path, ("return",), returns.values[:, np.newaxis])
 
 
 def _build_parser() -> argparse.ArgumentParser:

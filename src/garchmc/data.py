@@ -26,10 +26,9 @@ Source = Union[str, Path, IO[str], IO[bytes]]
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Positive price levels in file order, optionally labelled."""
+    """Positive price levels in file order."""
 
     prices: np.ndarray
-    timestamps: tuple[str, ...] | None = None
 
     def __post_init__(self):
         prices = np.asarray(self.prices, dtype=float)
@@ -38,8 +37,6 @@ class PriceSeries:
             raise InsufficientDataError(f"need at least 2 prices, got {prices.size}")
         if not np.all(np.isfinite(prices)) or not np.all(prices > 0.0):
             raise DomainError("prices must be finite and strictly positive")
-        if self.timestamps is not None and len(self.timestamps) != prices.size:
-            raise DomainError("timestamps and prices must have equal length")
 
     def __len__(self) -> int:
         return self.prices.size
@@ -140,18 +137,12 @@ def load_prices(source: Source, column: Union[str, int] = 0) -> PriceSeries:
     InsufficientDataError
         Fewer than two price rows.
     """
-    values = _load_column(source, column, positive=True, noun="price")
-    if values.size < 2:
-        raise InsufficientDataError(f"need at least 2 prices, got {values.size}")
-    return PriceSeries(prices=values)
+    return PriceSeries(prices=_load_column(source, column, positive=True, noun="price"))
 
 
 def load_returns(source: Source, column: Union[str, int] = 0) -> ReturnSeries:
     """Load a pre-computed return column, bypassing the price transform."""
-    values = _load_column(source, column, positive=False, noun="return")
-    if values.size < 1:
-        raise InsufficientDataError("input contains no return rows")
-    return ReturnSeries(values=values)
+    return ReturnSeries(values=_load_column(source, column, positive=False, noun="return"))
 
 
 def to_returns(prices: PriceSeries) -> ReturnSeries:

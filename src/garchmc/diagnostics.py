@@ -29,6 +29,9 @@ from .errors import (
 
 WINDOW_FACTOR = 6.0
 DEFAULT_JACKKNIFE_BLOCKS = 50
+# Shortest chain `summarize` takes: two draws per default jackknife block,
+# which is also the least `integrated_autocorr_time` accepts.
+MIN_SAMPLES = 2 * DEFAULT_JACKKNIFE_BLOCKS
 
 
 def acf(series, max_lag: int) -> np.ndarray:
@@ -64,8 +67,8 @@ def integrated_autocorr_time(series) -> tuple[float, float]:
     """
     x = np.asarray(series, dtype=float)
     n = x.size
-    if n < 100:
-        raise InsufficientDataError(f"need at least 100 points for tau_int, got {n}")
+    if n < MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {MIN_SAMPLES} points for tau_int, got {n}")
     max_lag = n // 2
     rho = acf(x, max_lag)
     tau_at = 0.5 + np.cumsum(rho[1:])

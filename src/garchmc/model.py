@@ -32,6 +32,18 @@ class ModelKind(enum.Enum):
     GARCH = "garch"
     QGARCH = "qgarch"
 
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        """Free parameters of the model, in parameter-vector order."""
+        return _FREE_PARAMS[self]
+
+
+# GARCH is QGARCH with gamma pinned at 0, so it leaves gamma out.
+_FREE_PARAMS = {
+    ModelKind.GARCH: ("omega", "alpha", "beta"),
+    ModelKind.QGARCH: ("omega", "alpha", "beta", "gamma"),
+}
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -59,29 +71,18 @@ class ModelParams:
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        if self.kind is ModelKind.GARCH:
-            return ("omega", "alpha", "beta")
-        return ("omega", "alpha", "beta", "gamma")
-
-    @property
-    def n_params(self) -> int:
-        return len(self.param_names)
+        return self.kind.param_names
 
     def as_vector(self) -> np.ndarray:
-        if self.kind is ModelKind.GARCH:
-            return np.array([self.omega, self.alpha, self.beta])
-        return np.array([self.omega, self.alpha, self.beta, self.gamma])
+        return np.array([getattr(self, name) for name in self.param_names])
 
     @classmethod
     def from_vector(cls, theta: Sequence[float], kind: ModelKind) -> "ModelParams":
         theta = np.asarray(theta, dtype=float)
-        if kind is ModelKind.GARCH:
-            if theta.shape != (3,):
-                raise DomainError(f"GARCH parameter vector must have length 3, got {theta.shape}")
-            return cls(float(theta[0]), float(theta[1]), float(theta[2]), 0.0, kind)
-        if theta.shape != (4,):
-            raise DomainError(f"QGARCH parameter vector must have length 4, got {theta.shape}")
-        return cls(float(theta[0]), float(theta[1]), float(theta[2]), float(theta[3]), kind)
+        names = kind.param_names
+        if theta.shape != (len(names),):
+            raise DomainError(f"{kind.name} parameter vector must have length {len(names)}, got {theta.shape}")
+        return cls(**{name: float(v) for name, v in zip(names, theta)}, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -102,19 +103,15 @@ def _in_support(omega: float, alpha: float, beta: float, gamma: float) -> bool:
     )
 
 
-def _conditional_variance(
-    y: np.ndarray, omega: float, alpha: float, beta: float, gamma: float, sigma1_sq: float
+def _variance_tail(
+    y_lag: np.ndarray, y_lag_sq: np.ndarray, omega: float, alpha: float, beta: float, gamma: float, s1: float
 ) -> np.ndarray:
-    """Run the variance recursion; first element is the given sigma1_sq."""
-    n = y.size
-    out = np.empty(n)
-    out[0] = sigma1_sq
-    if n > 1:
-        drive = omega + gamma * y[:-1] + alpha * y[:-1] ** 2
-        # sigma2_t = drive_t + beta * sigma2_{t-1} is a first-order linear
-        # recurrence; lfilter evaluates it in C.
-        out[1:], _ = lfilter([1.0], [1.0, -beta], drive, zi=np.array([beta * sigma1_sq]))
-    return out
+    """sigma2_2..sigma2_n from y_1..y_{n-1}, their squares, and sigma2_1 = s1."""
+    drive = omega + gamma * y_lag + alpha * y_lag_sq
+    # sigma2_t = drive_t + beta * sigma2_{t-1} is a first-order linear
+    # recurrence; lfilter evaluates it in C.
+    tail, _ = lfilter([1.0], [1.0, -beta], drive, zi=np.array([beta * s1]))
+    return tail
 
 
 def default_sigma1_sq(returns: "ReturnSeries") -> float:
@@ -155,8 +152,9 @@ def volatility_path(
     if not params.in_support:
         raise DomainError(f"parameters outside the model support: {params}")
     s1 = _resolve_sigma1_sq(returns, sigma1_sq)
-    y = np.asarray(returns.values, dtype=float)
-    sig = _conditional_variance(y, params.omega, params.alpha, params.beta, params.gamma, s1)
+    y_lag = np.asarray(returns.values, dtype=float)[:-1]
+    tail = _variance_tail(y_lag, y_lag * y_lag, params.omega, params.alpha, params.beta, params.gamma, s1)
+    sig = np.concatenate(([s1], tail))
     if not np.all(sig > 0.0):
         raise DomainError("conditional variance reached zero; parameters sit on the support boundary")
     return VolatilityPath(sigma_sq=sig)
@@ -204,18 +202,18 @@ def log_posterior_fn(
     y_lag_sq = y_lag * y_lag
     y_sq = y * y
     n_log_2pi = y.size * math.log(2.0 * math.pi)
-    qgarch = kind is ModelKind.QGARCH
-    dim = 4 if qgarch else 3
+    dim = len(kind.param_names)
 
     def logpost(theta: np.ndarray) -> float:
         if len(theta) != dim:
             raise DomainError(f"expected parameter vector of length {dim}, got {len(theta)}")
+        # Index rather than unpack: unpacking iterates the array, which is
+        # measurably slower on this hot path.
         omega, alpha, beta = theta[0], theta[1], theta[2]
-        gamma = theta[3] if qgarch else 0.0
+        gamma = theta[3] if dim == 4 else 0.0
         if not _in_support(omega, alpha, beta, gamma):
             return -math.inf
-        drive = omega + gamma * y_lag + alpha * y_lag_sq
-        sig_tail, _ = lfilter([1.0], [1.0, -beta], drive, zi=np.array([beta * s1]))
+        sig_tail = _variance_tail(y_lag, y_lag_sq, omega, alpha, beta, gamma, s1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ll = -0.5 * (
                 n_log_2pi

@@ -25,6 +25,11 @@ log = logging.getLogger(__name__)
 
 LogTarget = Callable[[np.ndarray], float]
 
+# Warm-up random-walk step size before tuning, and the number of discarded
+# sweeps between step-size adjustments.
+WARMUP_STEP = 0.01
+WARMUP_ADAPT_INTERVAL = 200
+
 
 @dataclass
 class ChainConfig:
@@ -40,8 +45,6 @@ class ChainConfig:
     theta0: model.ModelParams | None = None
     sigma1_sq: float | None = None
     freeze_after: int | None = None
-    warmup_step: float = 0.01
-    warmup_adapt_interval: int = 200
 
     def __post_init__(self):
         for name in ("burn_in", "initial_pool", "update_interval", "total_samples"):
@@ -93,17 +96,15 @@ def metropolis_warmup(
     n_keep: int,
     n_discard: int,
     rng: np.random.Generator,
-    *,
-    step: float = 0.01,
-    adapt_interval: int = 200,
 ) -> np.ndarray:
     """Component-wise random-walk Metropolis chain.
 
     Each sweep perturbs one component at a time with a Gaussian step and
-    applies the symmetric-proposal accept rule min(1, P'/P).  During the
-    discarded sweeps each component's step is doubled (halved) every
-    `adapt_interval` sweeps when its acceptance runs above 60% (below
-    40%), steering toward roughly 50%; steps are frozen afterwards.
+    applies the symmetric-proposal accept rule min(1, P'/P).  Steps start
+    at WARMUP_STEP.  During the discarded sweeps each component's step is
+    doubled (halved) every WARMUP_ADAPT_INTERVAL sweeps when its acceptance
+    runs above 60% (below 40%), steering toward roughly 50%; steps are
+    frozen afterwards.
 
     Returns the `n_keep` states following the `n_discard` discarded ones,
     as an (n_keep, p) array.
@@ -113,7 +114,7 @@ def metropolis_warmup(
     lp = target(x)
     if not math.isfinite(lp):
         raise DomainError(f"warm-up start has non-finite target: {theta0}")
-    steps = np.full(p, float(step))
+    steps = np.full(p, WARMUP_STEP)
     kept = np.empty((n_keep, p))
     accepts = np.zeros(p, dtype=int)
     for sweep in range(n_discard + n_keep):
@@ -126,8 +127,8 @@ def metropolis_warmup(
                 x = proposed
                 lp = lp_new
                 accepts[j] += 1
-        if sweep < n_discard and (sweep + 1) % adapt_interval == 0:
-            rate = accepts / adapt_interval
+        if sweep < n_discard and (sweep + 1) % WARMUP_ADAPT_INTERVAL == 0:
+            rate = accepts / WARMUP_ADAPT_INTERVAL
             steps[rate > 0.6] *= 2.0
             steps[rate < 0.4] *= 0.5
             accepts[:] = 0
@@ -197,8 +198,6 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
         config.initial_pool,
         config.burn_in,
         np.random.default_rng(warm_seed),
-        step=config.warmup_step,
-        adapt_interval=config.warmup_adapt_interval,
     )
 
     # Pool and adaptive draws share one buffer so each re-fit sees all

@@ -208,3 +208,18 @@ def test_bad_nic_grid_is_data_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o"), "--nic-min", "3", "--nic-max", "-3", *RUN_FLAGS])
     assert code == 3
     assert "DomainError" in capsys.readouterr().err
+
+
+def test_too_few_samples_is_data_error_before_the_fit(tmp_path, capsys, monkeypatch):
+    import garchmc.cli as cli
+
+    def never(config, returns):
+        raise AssertionError("run_adaptive called")
+
+    monkeypatch.setattr(cli, "run_adaptive", never)
+    out = tmp_path / "o"
+    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                 "--out-dir", str(out), *RUN_FLAGS, "--samples", "1"])
+    assert code == 3
+    assert "--samples >= 100" in capsys.readouterr().err
+    assert not out.exists()

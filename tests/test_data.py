@@ -61,6 +61,11 @@ def test_load_prices_single_row_insufficient():
         load_prices(io.StringIO("100\n"))
 
 
+def test_load_returns_header_only_insufficient():
+    with pytest.raises(InsufficientDataError):
+        load_returns(io.StringIO("return\n"))
+
+
 def test_load_prices_missing_column_name():
     with pytest.raises(ParseError, match="close"):
         load_prices(io.StringIO("date,price\n2001,100\n2002,101\n"), column="close")

@@ -32,15 +32,18 @@ def random_support_params(rng, kind=ModelKind.QGARCH):
     return ModelParams(omega, alpha, beta, gamma, kind)
 
 
+def naive_variance_path(omega, alpha, beta, gamma, y, sigma1_sq):
+    """The variance recursion, one step at a time."""
+    sig = [sigma1_sq]
+    for t in range(1, len(y)):
+        sig.append(omega + gamma * y[t - 1] + alpha * y[t - 1] ** 2 + beta * sig[-1])
+    return sig
+
+
 def naive_log_likelihood(omega, alpha, beta, gamma, y, sigma1_sq):
-    """Direct summation of the variance recursion and the Gaussian terms."""
-    sig = sigma1_sq
-    total = 0.0
-    for t in range(len(y)):
-        if t > 0:
-            sig = omega + gamma * y[t - 1] + alpha * y[t - 1] ** 2 + beta * sig
-        total += math.log(2.0 * math.pi * sig) + y[t] ** 2 / sig
-    return -0.5 * total
+    """Direct summation of the Gaussian terms along the naive variance path."""
+    sig = naive_variance_path(omega, alpha, beta, gamma, y, sigma1_sq)
+    return -0.5 * sum(math.log(2.0 * math.pi * s) + yt**2 / s for yt, s in zip(y, sig))
 
 
 def test_volatility_path_constant_case():
@@ -94,13 +97,34 @@ def test_log_likelihood_two_zero_observations():
 
 def test_log_likelihood_matches_naive_oracle():
     rng = np.random.default_rng(17)
-    for _ in range(10):
+    for n in (*(20,) * 10, 1, 2, 3):
         params = random_support_params(rng)
-        y = rng.standard_normal(20) * rng.uniform(0.5, 2.0)
+        y = rng.standard_normal(n) * rng.uniform(0.5, 2.0)
         s1 = rng.uniform(0.2, 3.0)
+        theta = (params.omega, params.alpha, params.beta, params.gamma)
         got = log_likelihood(params, ReturnSeries(y), s1)
-        want = naive_log_likelihood(params.omega, params.alpha, params.beta, params.gamma, y, s1)
+        want = naive_log_likelihood(*theta, y, s1)
         assert abs(got - want) <= 1e-12 * abs(want)
+        path = volatility_path(params, ReturnSeries(y), s1).sigma_sq
+        assert path.shape == (n,)
+        np.testing.assert_allclose(path, naive_variance_path(*theta, y, s1), rtol=1e-12, atol=0.0)
+
+
+def test_garch_is_qgarch_with_gamma_zero():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 60):
+        y = ReturnSeries(rng.standard_normal(n) * rng.uniform(0.5, 2.0))
+        s1 = rng.uniform(0.2, 3.0)
+        garch = log_posterior_fn(y, ModelKind.GARCH, s1)
+        qgarch = log_posterior_fn(y, ModelKind.QGARCH, s1)
+        for _ in range(10):
+            params = random_support_params(rng, ModelKind.GARCH)
+            theta3 = params.as_vector()
+            assert garch(theta3) == qgarch(np.array([*theta3, 0.0]))
+            pinned = ModelParams(params.omega, params.alpha, params.beta, 0.0, ModelKind.QGARCH)
+            np.testing.assert_array_equal(
+                volatility_path(params, y, s1).sigma_sq, volatility_path(pinned, y, s1).sigma_sq
+            )
 
 
 def test_log_likelihood_scaling_covariance():
