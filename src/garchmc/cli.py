@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,30 +42,6 @@ EXIT_NUMERICAL = 4
 
 _DATA_ERRORS = (ParseError, InsufficientDataError, DomainError, OSError)
 _NUMERICAL_ERRORS = (DegenerateCovarianceError, DegenerateSeriesError, NonConvergenceError)
-
-
-@dataclass
-class RunManifest:
-    """Everything one `run` invocation needs."""
-
-    input_path: Path
-    input_kind: str  # "prices" or "returns"
-    column: str | int
-    config: ChainConfig
-    out_dir: Path
-    nic_min: float = -5.0
-    nic_max: float = 5.0
-    nic_points: int = 201
-
-    def __post_init__(self):
-        if self.input_kind not in ("prices", "returns"):
-            raise DomainError(f"input kind must be 'prices' or 'returns', got {self.input_kind!r}")
-        if not self.nic_min < self.nic_max:
-            raise DomainError(f"news-impact grid needs min < max, got [{self.nic_min}, {self.nic_max}]")
-        if self.nic_points < 2:
-            raise DomainError(f"news-impact grid needs at least 2 points, got {self.nic_points}")
-        if self.config.total_samples < diagnostics.MIN_SAMPLES:
-            raise DomainError(f"run needs --samples >= {diagnostics.MIN_SAMPLES}, got {self.config.total_samples}")
 
 
 def _fmt(value: float) -> str:
@@ -121,37 +96,57 @@ def write_news_impact_csv(path: Path, params: model.ModelParams, grid: Sequence[
     _write_csv(Path(path), ("y", "sigma_sq"), model.news_impact_curve(params, grid))
 
 
-def _load_input(manifest: RunManifest) -> data.ReturnSeries:
-    if manifest.input_kind == "prices":
-        return data.to_returns(data.load_prices(manifest.input_path, manifest.column))
-    return data.load_returns(manifest.input_path, manifest.column)
+def _load_input(args: argparse.Namespace) -> data.ReturnSeries:
+    if args.input_kind == "prices":
+        return data.to_returns(data.load_prices(args.input, args.column))
+    return data.load_returns(args.input, args.column)
 
 
-def run(manifest: RunManifest) -> diagnostics.SummaryReport:
-    """Execute a full run and write all report files into `out_dir`.
+def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
+    """Execute a full run from parsed `run` arguments, writing the report files into `--out-dir`.
 
-    Writes samples.csv, summary.json, summary.txt, acf.csv,
-    acceptance.csv, moments.json, and nic.csv, each atomically.
+    Writes samples.csv, acceptance.csv and moments.json as soon as the
+    chain is finished, so a diagnostics failure still leaves the chain;
+    then summary.json, summary.txt, acf.csv and nic.csv.  Each file is
+    written atomically.
     """
-    returns = _load_input(manifest)
-    out = manifest.out_dir
+    config = ChainConfig(
+        kind=model.ModelKind(args.model),
+        burn_in=args.burn_in,
+        initial_pool=args.initial_pool,
+        update_interval=args.update_interval,
+        total_samples=args.samples,
+        nu=args.nu,
+        seed=args.seed,
+        sigma1_sq=args.sigma1_sq,
+        freeze_after=args.freeze_after,
+    )
+    if config.total_samples < diagnostics.MIN_SAMPLES:
+        raise DomainError(f"run needs --samples >= {diagnostics.MIN_SAMPLES}, got {config.total_samples}")
+    if not args.nic_min < args.nic_max:
+        raise DomainError(f"news-impact grid needs min < max, got [{args.nic_min}, {args.nic_max}]")
+    if args.nic_points < 2:
+        raise DomainError(f"news-impact grid needs at least 2 points, got {args.nic_points}")
+
+    returns = _load_input(args)
+    out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):
         raise DomainError(f"output directory {out} is not writable")
 
-    result = run_adaptive(manifest.config, returns)
-    report = diagnostics.summarize(result, returns)
-
-    means = [report.params[name].mean for name in result.param_names]
-    posterior_mean = model.ModelParams.from_vector(means, manifest.config.kind)
-    grid = np.linspace(manifest.nic_min, manifest.nic_max, manifest.nic_points)
-
+    result = run_adaptive(config, returns)
     _write_samples_csv(out / "samples.csv", result)
+    _write_acceptance_csv(out / "acceptance.csv", result)
+    _write_moments_json(out / "moments.json", result, config.nu)
+
+    report = diagnostics.summarize(result, returns)
+    means = [report.params[name].mean for name in result.param_names]
+    posterior_mean = model.ModelParams.from_vector(means, config.kind)
+    grid = np.linspace(args.nic_min, args.nic_max, args.nic_points)
+
     _atomic_write(out / "summary.json", report.to_json() + "\n")
     _atomic_write(out / "summary.txt", report.to_text())
     _write_acf_csv(out / "acf.csv", result)
-    _write_acceptance_csv(out / "acceptance.csv", result)
-    _write_moments_json(out / "moments.json", result, manifest.config.nu)
     write_news_impact_csv(out / "nic.csv", posterior_mean, grid)
     return report
 
@@ -175,13 +170,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", required=True, type=Path, help="input CSV path")
     p_run.add_argument("--input-kind", choices=["prices", "returns"], default="prices")
     p_run.add_argument("--column", default="0", help="price/return column name or index")
-    p_run.add_argument("--model", choices=["garch", "qgarch"], default="qgarch")
-    p_run.add_argument("--nu", type=float, default=10.0, help="proposal shape parameter")
-    p_run.add_argument("--burn-in", type=int, default=5000)
-    p_run.add_argument("--initial-pool", type=int, default=1000)
-    p_run.add_argument("--update-interval", type=int, default=1000)
-    p_run.add_argument("--samples", type=int, default=100_000)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--model", choices=["garch", "qgarch"], default=ChainConfig.kind.value)
+    p_run.add_argument("--nu", type=float, default=ChainConfig.nu, help="proposal shape parameter")
+    p_run.add_argument("--burn-in", type=int, default=ChainConfig.burn_in)
+    p_run.add_argument("--initial-pool", type=int, default=ChainConfig.initial_pool)
+    p_run.add_argument("--update-interval", type=int, default=ChainConfig.update_interval)
+    p_run.add_argument("--samples", type=int, default=ChainConfig.total_samples)
+    p_run.add_argument("--seed", type=int, default=ChainConfig.seed)
     p_run.add_argument("--sigma1-sq", type=float, default=None, help="initial variance (default: sample variance)")
     p_run.add_argument("--freeze-after", type=int, default=None, help="stop proposal updates after this many draws")
     p_run.add_argument("--out-dir", required=True, type=Path)
@@ -202,36 +197,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    config = ChainConfig(
-        kind=model.ModelKind(args.model),
-        burn_in=args.burn_in,
-        initial_pool=args.initial_pool,
-        update_interval=args.update_interval,
-        total_samples=args.samples,
-        nu=args.nu,
-        seed=args.seed,
-        sigma1_sq=args.sigma1_sq,
-        freeze_after=args.freeze_after,
-    )
-    return RunManifest(
-        input_path=args.input,
-        input_kind=args.input_kind,
-        column=args.column,
-        config=config,
-        out_dir=args.out_dir,
-        nic_min=args.nic_min,
-        nic_max=args.nic_max,
-        nic_points=args.nic_points,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            run(_manifest_from_args(args))
+            run(args)
         else:
             kind = model.ModelKind(args.model)
             params = model.ModelParams(args.omega, args.alpha, args.beta, args.gamma, kind)

@@ -71,10 +71,10 @@ class ReturnSeries:
 
 def _read_rows(source: Source) -> list[list[str]]:
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8-sig")
     else:
         raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     return rows
 

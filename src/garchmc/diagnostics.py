@@ -181,7 +181,9 @@ def summarize(result, returns, n_blocks: int = DEFAULT_JACKKNIFE_BLOCKS) -> Summ
     For each parameter: the plain arithmetic mean of the draws, the sample
     SD, the block-jackknife SE, and 2*tau_int with its error, plus the
     ratio of the jackknife SE to sqrt(2*tau_int/N) * SD (which should sit
-    near 1).  Constant columns report zero spread and NaN mixing stats.
+    near 1).  A constant column reports its value as the mean (the float
+    average of identical values can be off by an ulp), zero spread and NaN
+    mixing stats.
     """
     samples = np.asarray(result.samples, dtype=float)
     if samples.size == 0:
@@ -190,11 +192,11 @@ def summarize(result, returns, n_blocks: int = DEFAULT_JACKKNIFE_BLOCKS) -> Summ
     params: dict[str, ParamSummary] = {}
     for j, name in enumerate(result.param_names):
         col = samples[:, j]
-        mean = float(col.mean())
-        sd = float(col.std(ddof=1)) if n > 1 else 0.0
-        if sd == 0.0:
-            params[name] = ParamSummary(mean, 0.0, 0.0, math.nan, math.nan, math.nan)
+        if np.all(col == col[0]):
+            params[name] = ParamSummary(float(col[0]), 0.0, 0.0, math.nan, math.nan, math.nan)
             continue
+        mean = float(col.mean())
+        sd = float(col.std(ddof=1))
         se = jackknife_se(col, n_blocks)
         tau, tau_err = integrated_autocorr_time(col)
         ideal = math.sqrt(2.0 * tau / n) * sd

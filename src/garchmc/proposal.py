@@ -29,6 +29,16 @@ JITTER_SCALE = 1e-8
 JITTER_TRIES = 10
 
 
+def check_nu(nu: float) -> None:
+    """Raise DomainError unless 2 < nu < inf.
+
+    At nu <= 2 the proposal has no covariance; at nu = inf the scale
+    (nu-2)/nu and the density's normaliser are NaN.
+    """
+    if not 2.0 < nu < math.inf:
+        raise DomainError(f"nu must be finite and exceed 2, got {nu}")
+
+
 @dataclass(frozen=True)
 class MomentEstimate:
     """Sample mean and second central moment of a set of draws."""
@@ -97,8 +107,7 @@ def build_proposal(moments: MomentEstimate, nu: float = 10.0) -> StudentTProposa
     Cholesky factorization fails (early-chain samples can be collinear),
     an identity jitter is added and doubled up to JITTER_TRIES times.
     """
-    if not nu > 2.0:
-        raise DomainError(f"nu must exceed 2 for the covariance to exist, got {nu}")
+    check_nu(nu)
     v = np.asarray(moments.second_central, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise DomainError(f"second moment must be square, got shape {v.shape}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, InsufficientDataError
-from .proposal import StudentTProposal, build_proposal, estimate_moments
+from .proposal import StudentTProposal, build_proposal, check_nu, estimate_moments
 
 log = logging.getLogger(__name__)
 
@@ -42,7 +42,6 @@ class ChainConfig:
     total_samples: int = 100_000
     nu: float = 10.0
     seed: int = 0
-    theta0: model.ModelParams | None = None
     sigma1_sq: float | None = None
     freeze_after: int | None = None
 
@@ -50,10 +49,7 @@ class ChainConfig:
         for name in ("burn_in", "initial_pool", "update_interval", "total_samples"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.nu > 2.0:
-            raise DomainError(f"nu must exceed 2, got {self.nu}")
-        if self.theta0 is not None and self.theta0.kind is not self.kind:
-            raise DomainError("theta0 model kind does not match config kind")
+        check_nu(self.nu)
 
 
 @dataclass
@@ -186,7 +182,7 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     """
     if len(returns) < 1:
         raise InsufficientDataError("empty return series")
-    params0 = config.theta0 if config.theta0 is not None else default_theta0(returns, config.kind)
+    params0 = default_theta0(returns, config.kind)
     target = model.log_posterior_fn(returns, config.kind, config.sigma1_sq)
     names = params0.param_names
     p = len(names)

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from garchmc import ModelKind, ModelParams, load_returns, news_impact_curve
-from garchmc.cli import main
+from garchmc import ChainConfig, ModelKind, ModelParams, NonConvergenceError, load_returns, news_impact_curve
+from garchmc.cli import _build_parser, main
 
 RUN_FLAGS = [
     "--burn-in", "300",
@@ -223,3 +223,44 @@ def test_too_few_samples_is_data_error_before_the_fit(tmp_path, capsys, monkeypa
     assert code == 3
     assert "--samples >= 100" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_flag_defaults_are_chain_config_defaults():
+    args = _build_parser().parse_args(["run", "--input", "x", "--out-dir", "y"])
+    config = ChainConfig()
+    flags = (args.burn_in, args.initial_pool, args.update_interval, args.samples, args.nu, args.seed)
+    fields = (config.burn_in, config.initial_pool, config.update_interval, config.total_samples, config.nu, config.seed)
+    assert flags == fields
+    assert ModelKind(args.model) is config.kind
+
+
+@pytest.mark.parametrize("flags", [
+    ("--nu", "inf"),
+    ("--nic-points", "1"),
+    ("--nic-min", "3", "--nic-max", "-3"),
+], ids=["infinite-nu", "one-nic-point", "reversed-nic-grid"])
+def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    code = main(["run", "--input", str(tmp_path / "never-read.csv"), "--input-kind", "returns",
+                 "--out-dir", str(out), *RUN_FLAGS, *flags])
+    assert code == 3
+    assert "DomainError" in capsys.readouterr().err  # a read attempt would raise FileNotFoundError
+    assert not out.exists()
+
+
+def test_diagnostics_failure_keeps_the_chain(tmp_path, capsys, monkeypatch):
+    import garchmc.cli as cli
+
+    def fail(result, returns):
+        raise NonConvergenceError("tau_int did not settle")
+
+    monkeypatch.setattr(cli.diagnostics, "summarize", fail)
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                 "--out-dir", str(out), *RUN_FLAGS])
+    assert code == 4
+    assert "NonConvergenceError" in capsys.readouterr().err
+    _, rows = read_csv(out / "samples.csv")
+    assert len(rows) == 600
+    assert (out / "acceptance.csv").exists() and (out / "moments.json").exists()
+    assert not (out / "summary.json").exists()

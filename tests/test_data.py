@@ -46,6 +46,18 @@ def test_load_prices_accepts_byte_stream():
     np.testing.assert_allclose(series.prices, [100.0, 101.0, 99.0])
 
 
+def test_load_prices_byte_order_mark_without_header_keeps_first_price():
+    series = load_prices(io.BytesIO("\ufeff100.0\n101.0\n102.5\n101.7\n".encode()))
+    np.testing.assert_allclose(series.prices, [100.0, 101.0, 102.5, 101.7])
+
+
+def test_load_prices_byte_order_mark_before_header_names_column(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_bytes("\ufeffclose\n100\n101\n99\n".encode())
+    series = load_prices(path, "close")
+    np.testing.assert_allclose(series.prices, [100.0, 101.0, 99.0])
+
+
 def test_load_prices_bad_cell_names_row():
     with pytest.raises(ParseError, match="row 3"):
         load_prices(io.StringIO("100\n101\nabc\n"))

@@ -152,12 +152,15 @@ def test_jackknife_errors():
 
 
 def test_summarize_constant_chain():
-    report = summarize(fake_chain(np.full(500, 1.25)), ReturnSeries(np.array([0.1, -0.2])))
-    summary = report.params["theta"]
-    assert summary.mean == 1.25
-    assert summary.sd == 0.0
-    assert summary.jackknife_se == 0.0
-    assert math.isnan(summary.two_tau_int)
+    # 1.25 has an exact float mean; 1000 copies of 0.062193847261 average to
+    # one ulp below it, so their float SD is 1.4e-17, not 0.
+    for value, n in ((1.25, 500), (0.062193847261, 1000)):
+        report = summarize(fake_chain(np.full(n, value)), ReturnSeries(np.array([0.1, -0.2])))
+        summary = report.params["theta"]
+        assert summary.mean == value
+        assert summary.sd == 0.0
+        assert summary.jackknife_se == 0.0
+        assert math.isnan(summary.two_tau_int)
 
 
 def test_summarize_iid_pseudo_chain():

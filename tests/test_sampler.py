@@ -212,4 +212,4 @@ def test_chain_config_validation():
     with pytest.raises(DomainError):
         small_config(nu=2.0)
     with pytest.raises(DomainError):
-        small_config(theta0=ModelParams(0.1, 0.1, 0.8, 0.0, ModelKind.GARCH))
+        small_config(nu=math.inf)
