@@ -35,7 +35,6 @@ from .errors import (
 from .model import (
     ModelKind,
     ModelParams,
-    VolatilityPath,
     log_likelihood,
     log_posterior,
     log_posterior_fn,
@@ -76,7 +75,6 @@ __all__ = [
     "ReturnSeries",
     "StudentTProposal",
     "SummaryReport",
-    "VolatilityPath",
     "acf",
     "build_proposal",
     "estimate_moments",

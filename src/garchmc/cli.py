@@ -76,19 +76,8 @@ def _write_acceptance_csv(path: Path, result: ChainResult) -> None:
 
 
 def _write_moments_json(path: Path, result: ChainResult, nu: float) -> None:
-    payload = {
-        "nu": nu,
-        "snapshots": [
-            {
-                "t": snap.t,
-                "mean": snap.mean.tolist(),
-                "second_central": snap.second_central.tolist(),
-                "proposal_sigma": snap.proposal_sigma.tolist(),
-            }
-            for snap in result.moment_trace
-        ],
-    }
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    payload = {"nu": nu, "snapshots": [vars(s) for s in result.moment_trace]}
+    _atomic_write(path, json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n")
 
 
 def write_news_impact_csv(path: Path, params: model.ModelParams, grid: Sequence[float]) -> None:
@@ -144,7 +133,7 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     posterior_mean = model.ModelParams.from_vector(means, config.kind)
     grid = np.linspace(args.nic_min, args.nic_max, args.nic_points)
 
-    _atomic_write(out / "summary.json", report.to_json() + "\n")
+    _atomic_write(out / "summary.json", json.dumps(report.to_dict(), indent=2) + "\n")
     _atomic_write(out / "summary.txt", report.to_text())
     _write_acf_csv(out / "acf.csv", result)
     write_news_impact_csv(out / "nic.csv", posterior_mean, grid)

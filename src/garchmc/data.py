@@ -19,7 +19,7 @@ from typing import IO, Union
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, ParseError
-from .model import ModelParams
+from .model import ModelParams, check_sigma1_sq
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 
@@ -61,20 +61,19 @@ class ReturnSeries:
         if not np.all(np.isfinite(values)):
             raise DomainError("returns must be finite")
 
-    @property
-    def n(self) -> int:
-        return self.values.size
-
     def __len__(self) -> int:
         return self.values.size
 
 
 def _read_rows(source: Source) -> list[list[str]]:
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8-sig")
+        text = Path(source).read_text(encoding="utf-8")
     else:
         raw = source.read()
-        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    # A byte-order mark survives a text stream's decoding, so strip it here
+    # for every kind of source.
+    text = text.removeprefix("\ufeff")
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     return rows
 
@@ -179,8 +178,7 @@ def simulate_qgarch(
         raise DomainError(f"parameters outside the model support: {params}")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if not sigma1_sq > 0.0:
-        raise DomainError(f"initial variance must be positive, got {sigma1_sq}")
+    check_sigma1_sq(sigma1_sq)
     eps = np.random.default_rng(seed).standard_normal(n)
     y = np.empty(n)
     sig = sigma1_sq

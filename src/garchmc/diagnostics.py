@@ -13,7 +13,6 @@ sqrt(2*tau_int / N) * SD up to a modest factor.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -132,20 +131,9 @@ class SummaryReport:
             "n_observations": self.n_observations,
             "acceptance_plateau": clean(self.acceptance_plateau),
             "parameters": {
-                name: {
-                    "mean": s.mean,
-                    "sd": s.sd,
-                    "jackknife_se": s.jackknife_se,
-                    "two_tau_int": clean(s.two_tau_int),
-                    "two_tau_int_error": clean(s.two_tau_int_error),
-                    "se_consistency": clean(s.se_consistency),
-                }
-                for name, s in self.params.items()
+                name: {k: clean(v) for k, v in vars(s).items()} for name, s in self.params.items()
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         """Aligned table: parameter, mean, SD, SE, 2*tau_int and its error.
@@ -175,7 +163,7 @@ class SummaryReport:
         return "\n".join(lines) + "\n"
 
 
-def summarize(result, returns, n_blocks: int = DEFAULT_JACKKNIFE_BLOCKS) -> SummaryReport:
+def summarize(result, returns) -> SummaryReport:
     """Posterior means, spreads, and mixing diagnostics for a chain run.
 
     For each parameter: the plain arithmetic mean of the draws, the sample
@@ -197,7 +185,7 @@ def summarize(result, returns, n_blocks: int = DEFAULT_JACKKNIFE_BLOCKS) -> Summ
             continue
         mean = float(col.mean())
         sd = float(col.std(ddof=1))
-        se = jackknife_se(col, n_blocks)
+        se = jackknife_se(col)
         tau, tau_err = integrated_autocorr_time(col)
         ideal = math.sqrt(2.0 * tau / n) * sd
         params[name] = ParamSummary(mean, sd, se, 2.0 * tau, 2.0 * tau_err, se / ideal)

@@ -69,12 +69,8 @@ class ModelParams:
             return False
         return _in_support(self.omega, self.alpha, self.beta, self.gamma)
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return self.kind.param_names
-
     def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in self.param_names])
+        return np.array([getattr(self, name) for name in self.kind.param_names])
 
     @classmethod
     def from_vector(cls, theta: Sequence[float], kind: ModelKind) -> "ModelParams":
@@ -83,13 +79,6 @@ class ModelParams:
         if theta.shape != (len(names),):
             raise DomainError(f"{kind.name} parameter vector must have length {len(names)}, got {theta.shape}")
         return cls(**{name: float(v) for name, v in zip(names, theta)}, kind=kind)
-
-
-@dataclass(frozen=True)
-class VolatilityPath:
-    """Conditional variances sigma2_t, aligned with the return series."""
-
-    sigma_sq: np.ndarray
 
 
 def _in_support(omega: float, alpha: float, beta: float, gamma: float) -> bool:
@@ -122,17 +111,28 @@ def default_sigma1_sq(returns: "ReturnSeries") -> float:
     return float(np.var(values, ddof=1))
 
 
+def check_sigma1_sq(sigma1_sq: float, name: str = "initial variance") -> None:
+    """Raise DomainError unless 0 < sigma1_sq < inf.
+
+    At 0 the first likelihood term takes log(0); at inf every variance of
+    the path is inf.
+    """
+    if not 0.0 < sigma1_sq < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {sigma1_sq}")
+
+
 def _resolve_sigma1_sq(returns: "ReturnSeries", sigma1_sq: float | None) -> float:
     if sigma1_sq is None:
-        return default_sigma1_sq(returns)
-    if not sigma1_sq > 0.0:
-        raise DomainError(f"initial variance must be positive, got {sigma1_sq}")
+        s1 = default_sigma1_sq(returns)
+        check_sigma1_sq(s1, "default initial variance (the sample variance; set --sigma1-sq)")
+        return s1
+    check_sigma1_sq(sigma1_sq)
     return float(sigma1_sq)
 
 
 def volatility_path(
     params: ModelParams, returns: "ReturnSeries", sigma1_sq: float | None = None
-) -> VolatilityPath:
+) -> np.ndarray:
     """Conditional-variance path of the model along the observed returns.
 
     Parameters
@@ -146,8 +146,9 @@ def volatility_path(
 
     Returns
     -------
-    VolatilityPath with sigma_sq[0] = sigma1_sq and the recursion above
-    for t >= 1.
+    np.ndarray
+        sigma2_1..sigma2_n, aligned with the returns: sigma1_sq first, then
+        the recursion above.
     """
     if not params.in_support:
         raise DomainError(f"parameters outside the model support: {params}")
@@ -157,7 +158,7 @@ def volatility_path(
     sig = np.concatenate(([s1], tail))
     if not np.all(sig > 0.0):
         raise DomainError("conditional variance reached zero; parameters sit on the support boundary")
-    return VolatilityPath(sigma_sq=sig)
+    return sig
 
 
 def log_likelihood(

@@ -75,10 +75,6 @@ class StudentTProposal:
         quad = d @ self._precision @ d
         return self._log_norm - 0.5 * (self.nu + self.dim) * math.log1p(quad / self.nu)
 
-    def to_dict(self) -> dict:
-        """JSON-friendly state (mean, sigma, nu)."""
-        return {"mean": self.mean.tolist(), "sigma": self.sigma.tolist(), "nu": self.nu}
-
 
 def estimate_moments(samples: Sequence[Sequence[float]]) -> MomentEstimate:
     """Sample mean and unbiased (N-1) covariance of the draws.
@@ -100,7 +96,7 @@ def estimate_moments(samples: Sequence[Sequence[float]]) -> MomentEstimate:
     return MomentEstimate(mean=mean, second_central=(cov + cov.T) / 2.0)
 
 
-def build_proposal(moments: MomentEstimate, nu: float = 10.0) -> StudentTProposal:
+def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
     """Scale the chain covariance into a Student-t proposal.
 
     Sigma = (nu-2)/nu * V matches the proposal's covariance to V.  If the

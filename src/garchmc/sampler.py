@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import model
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError
 from .proposal import StudentTProposal, build_proposal, check_nu, estimate_moments
 
 log = logging.getLogger(__name__)
@@ -50,6 +50,10 @@ class ChainConfig:
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_nu(self.nu)
+        if self.sigma1_sq is not None:
+            model.check_sigma1_sq(self.sigma1_sq)
+        if self.freeze_after is not None and self.freeze_after < 0:
+            raise DomainError(f"freeze_after must be >= 0, got {self.freeze_after}")
 
 
 @dataclass
@@ -180,11 +184,9 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     which the proposal stays fixed).  Per-window acceptance fractions and
     per-update moment snapshots are recorded.
     """
-    if len(returns) < 1:
-        raise InsufficientDataError("empty return series")
     params0 = default_theta0(returns, config.kind)
     target = model.log_posterior_fn(returns, config.kind, config.sigma1_sq)
-    names = params0.param_names
+    names = config.kind.param_names
     p = len(names)
 
     warm_seed, mh_seed = np.random.SeedSequence(config.seed).spawn(2)

@@ -1,10 +1,20 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from garchmc import ChainConfig, ModelKind, ModelParams, NonConvergenceError, load_returns, news_impact_curve
+from garchmc import (
+    ChainConfig,
+    ModelKind,
+    ModelParams,
+    MomentSnapshot,
+    NonConvergenceError,
+    ParamSummary,
+    load_returns,
+    news_impact_curve,
+)
 from garchmc.cli import _build_parser, main
 
 RUN_FLAGS = [
@@ -50,7 +60,7 @@ def read_csv(path):
 def test_simulate_writes_requested_count(tmp_path):
     path = simulate_file(tmp_path, n=137)
     returns = load_returns(path)
-    assert returns.n == 137
+    assert len(returns) == 137
 
 
 def test_simulate_deterministic(tmp_path):
@@ -95,10 +105,14 @@ def test_run_emits_all_output_files(tmp_path):
     assert moments["nu"] == 10.0
     assert [snap["t"] for snap in moments["snapshots"]] == [0, 100, 200, 300, 400, 500, 600]
     assert np.asarray(moments["snapshots"][0]["second_central"]).shape == (4, 4)
+    snapshot_fields = [f.name for f in dataclasses.fields(MomentSnapshot)]
+    assert all(list(snap) == snapshot_fields for snap in moments["snapshots"])
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_samples"] == 600
     assert set(summary["parameters"]) == {"omega", "alpha", "beta", "gamma"}
+    summary_fields = [f.name for f in dataclasses.fields(ParamSummary)]
+    assert all(list(block) == summary_fields for block in summary["parameters"].values())
 
 
 def test_run_missing_input_names_path(tmp_path, capsys):
@@ -238,7 +252,11 @@ def test_run_flag_defaults_are_chain_config_defaults():
     ("--nu", "inf"),
     ("--nic-points", "1"),
     ("--nic-min", "3", "--nic-max", "-3"),
-], ids=["infinite-nu", "one-nic-point", "reversed-nic-grid"])
+    ("--sigma1-sq", "inf"),
+    ("--sigma1-sq", "0"),
+    ("--freeze-after", "-1"),
+], ids=["infinite-nu", "one-nic-point", "reversed-nic-grid", "infinite-sigma1-sq", "zero-sigma1-sq",
+        "negative-freeze-after"])
 def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys, flags):
     out = tmp_path / "o"
     code = main(["run", "--input", str(tmp_path / "never-read.csv"), "--input-kind", "returns",
@@ -264,3 +282,11 @@ def test_diagnostics_failure_keeps_the_chain(tmp_path, capsys, monkeypatch):
     assert len(rows) == 600
     assert (out / "acceptance.csv").exists() and (out / "moments.json").exists()
     assert not (out / "summary.json").exists()
+
+
+def test_flat_prices_need_an_explicit_initial_variance(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("close\n100\n100\n100\n100\n")
+    code = main(["run", "--input", str(path), "--column", "close", "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 3
+    assert "--sigma1-sq" in capsys.readouterr().err

@@ -46,16 +46,23 @@ def test_load_prices_accepts_byte_stream():
     np.testing.assert_allclose(series.prices, [100.0, 101.0, 99.0])
 
 
-def test_load_prices_byte_order_mark_without_header_keeps_first_price():
-    series = load_prices(io.BytesIO("\ufeff100.0\n101.0\n102.5\n101.7\n".encode()))
-    np.testing.assert_allclose(series.prices, [100.0, 101.0, 102.5, 101.7])
+def each_source(tmp_path, text):
+    """The same UTF-8 text as a path, a byte stream and a text stream."""
+    path = tmp_path / "prices.csv"
+    path.write_bytes(text.encode())
+    return {"path": path, "bytes": io.BytesIO(text.encode()), "text": io.StringIO(text)}
+
+
+def test_load_prices_byte_order_mark_without_header_keeps_first_price(tmp_path):
+    for kind, source in each_source(tmp_path, "\ufeff100.0\n101.0\n102.5\n101.7\n").items():
+        series = load_prices(source)
+        np.testing.assert_allclose(series.prices, [100.0, 101.0, 102.5, 101.7], err_msg=kind)
 
 
 def test_load_prices_byte_order_mark_before_header_names_column(tmp_path):
-    path = tmp_path / "prices.csv"
-    path.write_bytes("\ufeffclose\n100\n101\n99\n".encode())
-    series = load_prices(path, "close")
-    np.testing.assert_allclose(series.prices, [100.0, 101.0, 99.0])
+    for kind, source in each_source(tmp_path, "\ufeffclose\n100\n101\n99\n").items():
+        series = load_prices(source, "close")
+        np.testing.assert_allclose(series.prices, [100.0, 101.0, 99.0], err_msg=kind)
 
 
 def test_load_prices_bad_cell_names_row():
@@ -86,7 +93,7 @@ def test_load_prices_missing_column_name():
 def test_to_returns_constant_prices():
     series = load_prices(io.StringIO("100\n100\n100\n"))
     returns = to_returns(series)
-    assert returns.n == 2
+    assert len(returns) == 2
     np.testing.assert_allclose(returns.values, [0.0, 0.0], atol=1e-14)
 
 
@@ -104,7 +111,7 @@ def test_to_returns_zero_mean_and_length():
         n = int(rng.integers(2, 400))
         prices = np.exp(rng.normal(0.0, 0.02, n).cumsum()) * 100.0
         returns = to_returns(load_prices(io.StringIO("\n".join(map(str, prices)))))
-        assert returns.n == n - 1
+        assert len(returns) == n - 1
         assert abs(returns.values.mean()) < 1e-10
 
 
@@ -155,6 +162,8 @@ def test_simulate_rejects_bad_input():
         simulate_qgarch(params, 0, 1.0, seed=0)
     with pytest.raises(DomainError):
         simulate_qgarch(params, 100, -1.0, seed=0)
+    with pytest.raises(DomainError):
+        simulate_qgarch(params, 100, math.inf, seed=0)
 
 
 def test_return_series_validates():

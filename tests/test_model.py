@@ -50,23 +50,23 @@ def test_volatility_path_constant_case():
     params = ModelParams(0.1, 0.0, 0.0, 0.0)
     returns = ReturnSeries(np.array([1.0, -2.0, 0.5, 3.0]))
     path = volatility_path(params, returns, sigma1_sq=7.0)
-    assert path.sigma_sq[0] == 7.0
-    np.testing.assert_allclose(path.sigma_sq[1:], 0.1)
+    assert path[0] == 7.0
+    np.testing.assert_allclose(path[1:], 0.1)
 
 
 def test_volatility_path_one_step():
     params = ModelParams(0.1, 0.5, 0.0, 0.0)
     returns = ReturnSeries(np.array([2.0, 0.0]))
     path = volatility_path(params, returns, sigma1_sq=1.0)
-    assert path.sigma_sq[1] == pytest.approx(0.1 + 0.5 * 4.0, rel=1e-15)
+    assert path[1] == pytest.approx(0.1 + 0.5 * 4.0, rel=1e-15)
 
 
 def test_volatility_path_asymmetry_sign():
     params = ModelParams(0.3, 0.2, 0.0, -0.1)
     up = volatility_path(params, ReturnSeries(np.array([1.0, 0.0])), 1.0)
     down = volatility_path(params, ReturnSeries(np.array([-1.0, 0.0])), 1.0)
-    assert up.sigma_sq[1] == pytest.approx(0.4, rel=1e-15)
-    assert down.sigma_sq[1] == pytest.approx(0.6, rel=1e-15)
+    assert up[1] == pytest.approx(0.4, rel=1e-15)
+    assert down[1] == pytest.approx(0.6, rel=1e-15)
 
 
 def test_volatility_path_positive_under_fuzz():
@@ -75,12 +75,24 @@ def test_volatility_path_positive_under_fuzz():
         params = random_support_params(rng)
         y = rng.standard_normal(200) * rng.uniform(0.2, 5.0)
         path = volatility_path(params, ReturnSeries(y), rng.uniform(0.1, 4.0))
-        assert np.all(path.sigma_sq > 0.0)
+        assert np.all(path > 0.0)
 
 
 def test_volatility_path_rejects_off_support():
     with pytest.raises(DomainError):
         volatility_path(ModelParams(0.1, 0.6, 0.6, 0.0), ReturnSeries(np.array([1.0])), 1.0)
+
+
+@pytest.mark.parametrize("fn", [volatility_path, log_likelihood, log_posterior])
+@pytest.mark.parametrize("sigma1_sq", [0.0, math.inf])
+def test_initial_variance_must_be_finite_and_positive(fn, sigma1_sq):
+    with pytest.raises(DomainError, match="initial variance"):
+        fn(ModelParams(0.1, 0.1, 0.8), ReturnSeries(np.array([0.5, -0.3, 0.2])), sigma1_sq)
+
+
+def test_zero_sample_variance_default_names_the_flag():
+    with pytest.raises(DomainError, match="--sigma1-sq"):
+        log_posterior_fn(ReturnSeries(np.zeros(4)), ModelKind.QGARCH)
 
 
 def test_log_likelihood_standard_normal_at_zero():
@@ -105,7 +117,7 @@ def test_log_likelihood_matches_naive_oracle():
         got = log_likelihood(params, ReturnSeries(y), s1)
         want = naive_log_likelihood(*theta, y, s1)
         assert abs(got - want) <= 1e-12 * abs(want)
-        path = volatility_path(params, ReturnSeries(y), s1).sigma_sq
+        path = volatility_path(params, ReturnSeries(y), s1)
         assert path.shape == (n,)
         np.testing.assert_allclose(path, naive_variance_path(*theta, y, s1), rtol=1e-12, atol=0.0)
 
@@ -122,9 +134,7 @@ def test_garch_is_qgarch_with_gamma_zero():
             theta3 = params.as_vector()
             assert garch(theta3) == qgarch(np.array([*theta3, 0.0]))
             pinned = ModelParams(params.omega, params.alpha, params.beta, 0.0, ModelKind.QGARCH)
-            np.testing.assert_array_equal(
-                volatility_path(params, y, s1).sigma_sq, volatility_path(pinned, y, s1).sigma_sq
-            )
+            np.testing.assert_array_equal(volatility_path(params, y, s1), volatility_path(pinned, y, s1))
 
 
 def test_log_likelihood_scaling_covariance():
@@ -178,7 +188,7 @@ def test_log_posterior_fn_rejects_wrong_dimension():
 
 def test_garch_kind_uses_three_parameters():
     params = ModelParams(0.1, 0.1, 0.8, 0.0, ModelKind.GARCH)
-    assert params.param_names == ("omega", "alpha", "beta")
+    assert params.kind.param_names == ("omega", "alpha", "beta")
     assert params.as_vector().shape == (3,)
     y = ReturnSeries(np.array([0.3, -0.4, 0.2]))
     fn = log_posterior_fn(y, ModelKind.GARCH, 1.0)

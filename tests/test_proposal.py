@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -163,11 +162,3 @@ def test_log_density_permutation_invariant():
     for _ in range(20):
         theta = prop.draw(rng)
         assert permuted.log_density(theta[perm]) == pytest.approx(prop.log_density(theta), rel=1e-12)
-
-
-def test_proposal_state_serializes_to_json():
-    prop = build_proposal(MomentEstimate(np.array([0.1, 0.2]), np.eye(2)), nu=10.0)
-    state = json.loads(json.dumps(prop.to_dict()))
-    assert state["nu"] == 10.0
-    np.testing.assert_allclose(state["mean"], [0.1, 0.2])
-    np.testing.assert_allclose(state["sigma"], 0.8 * np.eye(2))

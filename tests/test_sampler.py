@@ -213,3 +213,9 @@ def test_chain_config_validation():
         small_config(nu=2.0)
     with pytest.raises(DomainError):
         small_config(nu=math.inf)
+    with pytest.raises(DomainError):
+        small_config(freeze_after=-1)
+    for sigma1_sq in (0.0, math.inf):
+        with pytest.raises(DomainError):
+            small_config(sigma1_sq=sigma1_sq)
+    assert small_config(freeze_after=0).freeze_after == 0
