@@ -11,9 +11,7 @@ from .data import (
     ReturnSeries,
     load_prices,
     load_returns,
-    simulate_qgarch,
     to_returns,
-    write_returns_csv,
 )
 from .diagnostics import (
     ParamSummary,
@@ -39,6 +37,7 @@ from .model import (
     log_posterior,
     log_posterior_fn,
     news_impact_curve,
+    simulate_qgarch,
     unconditional_variance,
     volatility_path,
 )
@@ -94,5 +93,4 @@ __all__ = [
     "to_returns",
     "unconditional_variance",
     "volatility_path",
-    "write_returns_csv",
 ]

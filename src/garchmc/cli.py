@@ -44,10 +44,6 @@ _DATA_ERRORS = (ParseError, InsufficientDataError, DomainError, OSError)
 _NUMERICAL_ERRORS = (DegenerateCovarianceError, DegenerateSeriesError, NonConvergenceError)
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -55,9 +51,9 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    """Header line, then one line per row with every cell formatted by `_fmt`."""
+    """Header line, then one line per row with every cell at 17 significant digits."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -140,12 +136,17 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     return report
 
 
-def simulate(params: model.ModelParams, n: int, sigma1_sq: float, seed: int, out_path: Path) -> None:
-    """Write a synthetic return CSV consumable by `run --input-kind returns`."""
-    returns = data.simulate_qgarch(params, n, sigma1_sq, seed)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_path, ("return",), returns.values[:, np.newaxis])
+def simulate(args: argparse.Namespace) -> None:
+    """Write a synthetic return CSV from parsed `simulate` arguments.
+
+    `run --input-kind returns` reads the file as it is.  The initial
+    variance defaults to the model's stationary variance.
+    """
+    params = model.ModelParams(args.omega, args.alpha, args.beta, args.gamma, model.ModelKind(args.model))
+    sigma1_sq = model.unconditional_variance(params) if args.sigma1_sq is None else args.sigma1_sq
+    returns = model.simulate_qgarch(params, args.n, sigma1_sq, args.seed)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(args.out, ("return",), returns.values[:, np.newaxis])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,12 +194,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             run(args)
         else:
-            kind = model.ModelKind(args.model)
-            params = model.ModelParams(args.omega, args.alpha, args.beta, args.gamma, kind)
-            sigma1_sq = args.sigma1_sq
-            if sigma1_sq is None:
-                sigma1_sq = model.unconditional_variance(params)
-            simulate(params, args.n, sigma1_sq, args.seed, args.out)
+            simulate(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

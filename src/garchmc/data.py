@@ -1,4 +1,4 @@
-"""Price ingestion, the return transform, and synthetic return generation.
+"""Price ingestion and the return transform.
 
 Prices p_1..p_N become percent log returns
 
@@ -19,7 +19,6 @@ from typing import IO, Union
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, ParseError
-from .model import ModelParams, check_sigma1_sq
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 
@@ -152,38 +151,3 @@ def to_returns(prices: PriceSeries) -> ReturnSeries:
     """
     log_ratio = np.log(prices.prices[1:] / prices.prices[:-1])
     return ReturnSeries(values=100.0 * (log_ratio - log_ratio.mean()))
-
-
-def write_returns_csv(returns: ReturnSeries, dest: Union[str, Path, IO[str]]) -> None:
-    """Write a one-column CSV that `load_returns` reads back at full precision."""
-    lines = ["return"]
-    lines.extend(format(v, ".17g") for v in returns.values)
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
-    else:
-        dest.write(text)
-
-
-def simulate_qgarch(
-    params: ModelParams, n: int, sigma1_sq: float, seed: int
-) -> ReturnSeries:
-    """Draw a synthetic return series from the model.
-
-    Generates eps_t ~ N(0,1), runs the variance recursion from
-    sigma2_1 = sigma1_sq, and sets y_t = sigma_t * eps_t.  Deterministic
-    for a fixed seed.
-    """
-    if not params.in_support:
-        raise DomainError(f"parameters outside the model support: {params}")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    check_sigma1_sq(sigma1_sq)
-    eps = np.random.default_rng(seed).standard_normal(n)
-    y = np.empty(n)
-    sig = sigma1_sq
-    omega, alpha, beta, gamma = params.omega, params.alpha, params.beta, params.gamma
-    for t in range(n):
-        y[t] = math.sqrt(sig) * eps[t]
-        sig = omega + gamma * y[t] + alpha * y[t] * y[t] + beta * sig
-    return ReturnSeries(values=y)

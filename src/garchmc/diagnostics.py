@@ -14,7 +14,7 @@ sqrt(2*tau_int / N) * SD up to a modest factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
@@ -139,27 +139,17 @@ class SummaryReport:
         """Aligned table: parameter, mean, SD, SE, 2*tau_int and its error.
 
         Numbers carry 17 significant digits so the text and JSON reports
-        hold identical values.
+        hold identical values.  The table leaves out `se_consistency`.
         """
+        num = "{:.17g}".format
         header = ["parameter", "mean", "SD", "SE", "2tau_int", "2tau_int_err"]
-        rows = [header]
-        for name, s in self.params.items():
-            rows.append(
-                [
-                    name,
-                    format(s.mean, ".17g"),
-                    format(s.sd, ".17g"),
-                    format(s.jackknife_se, ".17g"),
-                    format(s.two_tau_int, ".17g"),
-                    format(s.two_tau_int_error, ".17g"),
-                ]
-            )
+        rows = [header, *([name, *map(num, astuple(s)[:5])] for name, s in self.params.items())]
         widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
         lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in rows]
         lines.append("")
         lines.append(f"n_samples           {self.n_samples}")
         lines.append(f"n_observations      {self.n_observations}")
-        lines.append(f"acceptance_plateau  {format(self.acceptance_plateau, '.17g')}")
+        lines.append(f"acceptance_plateau  {num(self.acceptance_plateau)}")
         return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""GARCH(1,1) / QGARCH(1,1) parameter space, likelihood and posterior.
+"""GARCH(1,1) / QGARCH(1,1) parameter space, simulation, likelihood and posterior.
 
 The conditional-variance recursion is
 
@@ -17,15 +17,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
 
+from .data import ReturnSeries
 from .errors import DomainError, InsufficientDataError
-
-if TYPE_CHECKING:
-    from .data import ReturnSeries
 
 
 class ModelKind(enum.Enum):
@@ -103,12 +101,28 @@ def _variance_tail(
     return tail
 
 
-def default_sigma1_sq(returns: "ReturnSeries") -> float:
-    """Fallback initial variance: the sample variance of the returns."""
-    values = np.asarray(returns.values, dtype=float)
-    if values.size < 2:
-        raise InsufficientDataError("need at least 2 returns to default the initial variance")
-    return float(np.var(values, ddof=1))
+def simulate_qgarch(params: ModelParams, n: int, sigma1_sq: float, seed: int) -> ReturnSeries:
+    """Draw a synthetic return series from the model.
+
+    Generates eps_t ~ N(0,1), runs the variance recursion from
+    sigma2_1 = sigma1_sq, and sets y_t = sigma_t * eps_t.  Deterministic
+    for a fixed seed, which must be >= 0.
+    """
+    if not params.in_support:
+        raise DomainError(f"parameters outside the model support: {params}")
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    check_sigma1_sq(sigma1_sq)
+    eps = np.random.default_rng(seed).standard_normal(n)
+    y = np.empty(n)
+    sig = sigma1_sq
+    omega, alpha, beta, gamma = params.omega, params.alpha, params.beta, params.gamma
+    for t in range(n):
+        y[t] = math.sqrt(sig) * eps[t]
+        sig = omega + gamma * y[t] + alpha * y[t] * y[t] + beta * sig
+    return ReturnSeries(values=y)
 
 
 def check_sigma1_sq(sigma1_sq: float, name: str = "initial variance") -> None:
@@ -121,9 +135,12 @@ def check_sigma1_sq(sigma1_sq: float, name: str = "initial variance") -> None:
         raise DomainError(f"{name} must be finite and positive, got {sigma1_sq}")
 
 
-def _resolve_sigma1_sq(returns: "ReturnSeries", sigma1_sq: float | None) -> float:
+def _resolve_sigma1_sq(returns: ReturnSeries, sigma1_sq: float | None) -> float:
+    """The given initial variance, or by default the sample variance of the returns."""
     if sigma1_sq is None:
-        s1 = default_sigma1_sq(returns)
+        if len(returns) < 2:
+            raise InsufficientDataError("need at least 2 returns to default the initial variance")
+        s1 = float(np.var(returns.values, ddof=1))
         check_sigma1_sq(s1, "default initial variance (the sample variance; set --sigma1-sq)")
         return s1
     check_sigma1_sq(sigma1_sq)
@@ -131,7 +148,7 @@ def _resolve_sigma1_sq(returns: "ReturnSeries", sigma1_sq: float | None) -> floa
 
 
 def volatility_path(
-    params: ModelParams, returns: "ReturnSeries", sigma1_sq: float | None = None
+    params: ModelParams, returns: ReturnSeries, sigma1_sq: float | None = None
 ) -> np.ndarray:
     """Conditional-variance path of the model along the observed returns.
 
@@ -162,7 +179,7 @@ def volatility_path(
 
 
 def log_likelihood(
-    params: ModelParams, returns: "ReturnSeries", sigma1_sq: float | None = None
+    params: ModelParams, returns: ReturnSeries, sigma1_sq: float | None = None
 ) -> float:
     """Gaussian log-likelihood -0.5 * sum[ln(2 pi sigma2_t) + y_t^2 / sigma2_t]."""
     if not params.in_support:
@@ -173,7 +190,7 @@ def log_likelihood(
 
 
 def log_posterior(
-    params: ModelParams, returns: "ReturnSeries", sigma1_sq: float | None = None
+    params: ModelParams, returns: ReturnSeries, sigma1_sq: float | None = None
 ) -> float:
     """Unnormalized flat-prior log-posterior; -inf outside the support.
 
@@ -188,7 +205,7 @@ def log_posterior(
 
 
 def log_posterior_fn(
-    returns: "ReturnSeries", kind: ModelKind, sigma1_sq: float | None = None
+    returns: ReturnSeries, kind: ModelKind, sigma1_sq: float | None = None
 ) -> Callable[[np.ndarray], float]:
     """Bind returns and initial variance into a fast vector -> float posterior.
 
@@ -196,8 +213,6 @@ def log_posterior_fn(
     constants are precomputed here instead of per call.
     """
     y = np.asarray(returns.values, dtype=float)
-    if y.size == 0:
-        raise InsufficientDataError("empty return series")
     s1 = _resolve_sigma1_sq(returns, sigma1_sq)
     y_lag = y[:-1]
     y_lag_sq = y_lag * y_lag

@@ -55,13 +55,12 @@ class StudentTProposal:
     sigma: np.ndarray
     chol: np.ndarray
     nu: float
-    dim: int
     _precision: np.ndarray
     _log_norm: float
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One draw via the normal/chi-square representation."""
-        y = rng.standard_normal(self.dim)
+        y = rng.standard_normal(self.mean.shape)
         w = rng.chisquare(self.nu)
         x = y * math.sqrt(self.nu / w)
         return self.chol @ x + self.mean
@@ -69,11 +68,11 @@ class StudentTProposal:
     def log_density(self, theta: Sequence[float]) -> float:
         """Exact log g(theta), normalization included."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise DomainError(f"expected vector of dimension {self.dim}, got shape {theta.shape}")
+        if theta.shape != self.mean.shape:
+            raise DomainError(f"expected vector of dimension {self.mean.size}, got shape {theta.shape}")
         d = theta - self.mean
         quad = d @ self._precision @ d
-        return self._log_norm - 0.5 * (self.nu + self.dim) * math.log1p(quad / self.nu)
+        return self._log_norm - 0.5 * (self.nu + self.mean.size) * math.log1p(quad / self.nu)
 
 
 def estimate_moments(samples: Sequence[Sequence[float]]) -> MomentEstimate:
@@ -105,9 +104,9 @@ def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
     """
     check_nu(nu)
     v = np.asarray(moments.second_central, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise DomainError(f"second moment must be square, got shape {v.shape}")
-    asym = np.max(np.abs(v - v.T)) if v.size else 0.0
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
+        raise DomainError(f"second moment must be square and non-empty, got shape {v.shape}")
+    asym = np.max(np.abs(v - v.T))
     if asym > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
         raise DomainError(f"second moment is not symmetric (max asymmetry {asym:.3e})")
     v = (v + v.T) / 2.0
@@ -146,7 +145,6 @@ def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
         sigma=sigma,
         chol=chol,
         nu=float(nu),
-        dim=p,
         _precision=precision,
         _log_norm=float(log_norm),
     )

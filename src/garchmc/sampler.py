@@ -46,9 +46,12 @@ class ChainConfig:
     freeze_after: int | None = None
 
     def __post_init__(self):
-        for name in ("burn_in", "initial_pool", "update_interval", "total_samples"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # The first proposal needs a covariance, so the pool holds at least
+        # two states.
+        least = {"burn_in": 1, "initial_pool": 2, "update_interval": 1, "total_samples": 1, "seed": 0}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
         check_nu(self.nu)
         if self.sigma1_sq is not None:
             model.check_sigma1_sq(self.sigma1_sq)
@@ -213,32 +216,33 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     lt = target(x)
     lg = proposal.log_density(x)
     acceptance: list[float] = []
-    window_accepts = 0
     n_windows = math.ceil(total / interval)
 
-    for i in range(1, total + 1):
-        x, accepted, lt, lg = mh_step(
-            target, proposal, x, rng, current_log_target=lt, current_log_proposal=lg
-        )
-        store[n_pool + i - 1] = x
-        window_accepts += accepted
-        if i % interval == 0 or i == total:
-            window_size = interval if i % interval == 0 else i % interval
-            acceptance.append(window_accepts / window_size)
-            window_accepts = 0
-            moments = estimate_moments(store[: n_pool + i])
-            frozen = config.freeze_after is not None and i >= config.freeze_after
-            if not frozen:
-                proposal = build_proposal(moments, config.nu)
-                lg = proposal.log_density(x)
-            trace.append(MomentSnapshot(i, moments.mean, moments.second_central, proposal.sigma))
-            log.info(
-                "window %d/%d  acceptance %.3f%s",
-                len(acceptance),
-                n_windows,
-                acceptance[-1],
-                "  (proposal frozen)" if frozen else "",
+    # Each window draws from one fixed proposal.  At the window's end the
+    # proposal is re-fitted from every draw so far, unless it is frozen.
+    for start in range(0, total, interval):
+        end = min(start + interval, total)
+        accepts = 0
+        for row in range(n_pool + start, n_pool + end):
+            x, accepted, lt, lg = mh_step(
+                target, proposal, x, rng, current_log_target=lt, current_log_proposal=lg
             )
+            store[row] = x
+            accepts += accepted
+        acceptance.append(accepts / (end - start))
+        moments = estimate_moments(store[: n_pool + end])
+        frozen = config.freeze_after is not None and end >= config.freeze_after
+        if not frozen:
+            proposal = build_proposal(moments, config.nu)
+            lg = proposal.log_density(x)
+        trace.append(MomentSnapshot(end, moments.mean, moments.second_central, proposal.sigma))
+        log.info(
+            "window %d/%d  acceptance %.3f%s",
+            len(acceptance),
+            n_windows,
+            acceptance[-1],
+            "  (proposal frozen)" if frozen else "",
+        )
 
     return ChainResult(
         samples=store[n_pool:],

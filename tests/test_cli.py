@@ -82,6 +82,15 @@ def test_simulate_rejects_off_support(tmp_path):
     assert code == 3
 
 
+def test_simulate_negative_seed_is_data_error(tmp_path, capsys):
+    out = tmp_path / "returns.csv"
+    code = main(["simulate", "--omega", "0.1", "--alpha", "0.1", "--beta", "0.8", "--n", "10",
+                 "--seed", "-1", "--out", str(out)])
+    assert code == 3
+    assert "DomainError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_emits_all_output_files(tmp_path):
     out = run_dir(tmp_path, simulate_file(tmp_path))
     for name in ("samples.csv", "summary.json", "summary.txt", "acf.csv",
@@ -255,8 +264,10 @@ def test_run_flag_defaults_are_chain_config_defaults():
     ("--sigma1-sq", "inf"),
     ("--sigma1-sq", "0"),
     ("--freeze-after", "-1"),
+    ("--seed", "-1"),
+    ("--initial-pool", "1"),
 ], ids=["infinite-nu", "one-nic-point", "reversed-nic-grid", "infinite-sigma1-sq", "zero-sigma1-sq",
-        "negative-freeze-after"])
+        "negative-freeze-after", "negative-seed", "one-state-pool"])
 def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys, flags):
     out = tmp_path / "o"
     code = main(["run", "--input", str(tmp_path / "never-read.csv"), "--input-kind", "returns",

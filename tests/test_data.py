@@ -14,8 +14,8 @@ from garchmc import (
     load_returns,
     simulate_qgarch,
     to_returns,
-    write_returns_csv,
 )
+from garchmc.cli import main
 
 
 def test_load_prices_plain_rows():
@@ -115,13 +115,13 @@ def test_to_returns_zero_mean_and_length():
         assert abs(returns.values.mean()) < 1e-10
 
 
-def test_returns_csv_round_trip():
-    rng = np.random.default_rng(3)
-    original = ReturnSeries(rng.standard_normal(57))
-    buf = io.StringIO()
-    write_returns_csv(original, buf)
-    restored = load_returns(io.StringIO(buf.getvalue()))
-    np.testing.assert_array_equal(restored.values, original.values)
+def test_returns_csv_round_trip(tmp_path):
+    path = tmp_path / "returns.csv"
+    code = main(["simulate", "--omega", "0.1", "--alpha", "0.1", "--beta", "0.8", "--gamma", "-0.05",
+                 "--n", "57", "--sigma1-sq", "1.0", "--seed", "3", "--out", str(path)])
+    assert code == 0
+    original = simulate_qgarch(ModelParams(0.1, 0.1, 0.8, -0.05), 57, 1.0, seed=3)
+    np.testing.assert_array_equal(load_returns(path).values, original.values)
 
 
 def test_simulate_deterministic_for_seed():
@@ -164,6 +164,8 @@ def test_simulate_rejects_bad_input():
         simulate_qgarch(params, 100, -1.0, seed=0)
     with pytest.raises(DomainError):
         simulate_qgarch(params, 100, math.inf, seed=0)
+    with pytest.raises(DomainError):
+        simulate_qgarch(params, 100, 1.0, seed=-1)
 
 
 def test_return_series_validates():

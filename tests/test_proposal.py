@@ -69,6 +69,8 @@ def test_build_proposal_rejects_bad_input():
         build_proposal(MomentEstimate(np.zeros(2), np.eye(2)), nu=2.0)
     with pytest.raises(DomainError):
         build_proposal(MomentEstimate(np.zeros(2), np.eye(2)), nu=math.inf)
+    with pytest.raises(DomainError):
+        build_proposal(MomentEstimate(np.zeros(0), np.zeros((0, 0))), nu=10.0)
 
 
 def test_build_proposal_unfixably_degenerate():

@@ -215,6 +215,10 @@ def test_chain_config_validation():
         small_config(nu=math.inf)
     with pytest.raises(DomainError):
         small_config(freeze_after=-1)
+    with pytest.raises(DomainError):
+        small_config(seed=-1)
+    with pytest.raises(DomainError):
+        small_config(initial_pool=1)
     for sigma1_sq in (0.0, math.inf):
         with pytest.raises(DomainError):
             small_config(sigma1_sq=sigma1_sq)
