@@ -34,7 +34,6 @@ from .model import (
     ModelKind,
     ModelParams,
     log_likelihood,
-    log_posterior,
     log_posterior_fn,
     news_impact_curve,
     simulate_qgarch,
@@ -82,7 +81,6 @@ __all__ = [
     "load_prices",
     "load_returns",
     "log_likelihood",
-    "log_posterior",
     "log_posterior_fn",
     "metropolis_warmup",
     "mh_step",

@@ -36,7 +36,6 @@ log = logging.getLogger(__name__)
 ACF_MAX_LAG = 200
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
@@ -63,7 +62,12 @@ def _write_samples_csv(path: Path, result: ChainResult) -> None:
 
 def _write_acf_csv(path: Path, result: ChainResult) -> None:
     max_lag = min(ACF_MAX_LAG, result.samples.shape[0] - 1)
-    columns = [diagnostics.acf(col, max_lag) for col in result.samples.T]
+    # A parameter that never moved has no ACF: its column is NaN, as its
+    # mixing figures in the summary are.
+    columns = [
+        np.full(max_lag + 1, np.nan) if np.all(col == col[0]) else diagnostics.acf(col, max_lag)
+        for col in result.samples.T
+    ]
     _write_csv(path, ("lag", *result.param_names), zip(range(max_lag + 1), *columns))
 
 
@@ -108,8 +112,8 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     )
     if config.total_samples < diagnostics.MIN_SAMPLES:
         raise DomainError(f"run needs --samples >= {diagnostics.MIN_SAMPLES}, got {config.total_samples}")
-    if not args.nic_min < args.nic_max:
-        raise DomainError(f"news-impact grid needs min < max, got [{args.nic_min}, {args.nic_max}]")
+    if not -np.inf < args.nic_min < args.nic_max < np.inf:
+        raise DomainError(f"news-impact grid needs finite min < max, got [{args.nic_min}, {args.nic_max}]")
     if args.nic_points < 2:
         raise DomainError(f"news-impact grid needs at least 2 points, got {args.nic_points}")
 
@@ -125,8 +129,8 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     _write_moments_json(out / "moments.json", result, config.nu)
 
     report = diagnostics.summarize(result, returns)
-    means = [report.params[name].mean for name in result.param_names]
-    posterior_mean = model.ModelParams.from_vector(means, config.kind)
+    means = {name: report.params[name].mean for name in result.param_names}
+    posterior_mean = model.ModelParams(**means, kind=config.kind)
     grid = np.linspace(args.nic_min, args.nic_max, args.nic_points)
 
     _atomic_write(out / "summary.json", json.dumps(report.to_dict(), indent=2) + "\n")
@@ -142,7 +146,7 @@ def simulate(args: argparse.Namespace) -> None:
     `run --input-kind returns` reads the file as it is.  The initial
     variance defaults to the model's stationary variance.
     """
-    params = model.ModelParams(args.omega, args.alpha, args.beta, args.gamma, model.ModelKind(args.model))
+    params = model.ModelParams(args.omega, args.alpha, args.beta, args.gamma)
     sigma1_sq = model.unconditional_variance(params) if args.sigma1_sq is None else args.sigma1_sq
     returns = model.simulate_qgarch(params, args.n, sigma1_sq, args.seed)
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -179,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--alpha", type=float, required=True)
     p_sim.add_argument("--beta", type=float, required=True)
     p_sim.add_argument("--gamma", type=float, default=0.0)
-    p_sim.add_argument("--model", choices=["garch", "qgarch"], default="qgarch")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--sigma1-sq", type=float, default=None, help="initial variance (default: stationary variance)")
     p_sim.add_argument("--seed", type=int, default=0)

@@ -62,7 +62,10 @@ def integrated_autocorr_time(series) -> tuple[float, float]:
     """Windowed tau_int estimate and its statistical error.
 
     Sums the ACF up to the smallest window W with W >= 6 * tau_int(W) and
-    reports the error as tau_int * sqrt(2 * (2W + 1) / N).
+    reports the error as tau_int * sqrt(2 * (2W + 1) / N).  Raises
+    NonConvergenceError when no window qualifies, or when the chosen
+    window's tau_int is not > 0 (a strongly anti-correlated series passes
+    the rule at W = 1 with a negative tau_int, which has no error estimate).
     """
     x = np.asarray(series, dtype=float)
     n = x.size
@@ -77,6 +80,8 @@ def integrated_autocorr_time(series) -> tuple[float, float]:
         raise NonConvergenceError(f"no self-consistent window below N/2 = {max_lag}")
     w = int(windows[np.argmax(admissible)])
     tau = float(tau_at[w - 1])
+    if not tau > 0.0:
+        raise NonConvergenceError(f"window W = {w} gives tau_int = {tau:.6g}, which is not > 0")
     error = tau * math.sqrt(2.0 * (2.0 * w + 1.0) / n)
     return tau, error
 

@@ -70,14 +70,6 @@ class ModelParams:
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in self.kind.param_names])
 
-    @classmethod
-    def from_vector(cls, theta: Sequence[float], kind: ModelKind) -> "ModelParams":
-        theta = np.asarray(theta, dtype=float)
-        names = kind.param_names
-        if theta.shape != (len(names),):
-            raise DomainError(f"{kind.name} parameter vector must have length {len(names)}, got {theta.shape}")
-        return cls(**{name: float(v) for name, v in zip(names, theta)}, kind=kind)
-
 
 def _in_support(omega: float, alpha: float, beta: float, gamma: float) -> bool:
     # NaNs fail every comparison, so they land outside the support.
@@ -184,23 +176,8 @@ def log_likelihood(
     """Gaussian log-likelihood -0.5 * sum[ln(2 pi sigma2_t) + y_t^2 / sigma2_t]."""
     if not params.in_support:
         raise DomainError(f"parameters outside the model support: {params}")
-    # Same code path as log_posterior so the two agree bit for bit on the
-    # support (the flat prior adds nothing).
-    return log_posterior_fn(returns, params.kind, sigma1_sq)(params.as_vector())
-
-
-def log_posterior(
-    params: ModelParams, returns: ReturnSeries, sigma1_sq: float | None = None
-) -> float:
-    """Unnormalized flat-prior log-posterior; -inf outside the support.
-
-    Off-support parameters are legal input and map to -inf so Metropolis
-    style samplers reject them without special-casing.
-    """
-    # Checked here as well as inside the closure: the GARCH vector form
-    # drops gamma, so a nonzero gamma would otherwise go unnoticed.
-    if not params.in_support:
-        return -math.inf
+    # Evaluated through the sampler's posterior closure, so the two agree
+    # bit for bit on the support (the flat prior adds nothing).
     return log_posterior_fn(returns, params.kind, sigma1_sq)(params.as_vector())
 
 
@@ -209,8 +186,10 @@ def log_posterior_fn(
 ) -> Callable[[np.ndarray], float]:
     """Bind returns and initial variance into a fast vector -> float posterior.
 
-    The returned closure is what the samplers hammer on, so slices and
-    constants are precomputed here instead of per call.
+    The closure returns the unnormalized flat-prior log-posterior, -inf
+    outside the support, so Metropolis samplers reject off-support
+    candidates without special-casing.  It is what the samplers hammer
+    on, so slices and constants are precomputed here instead of per call.
     """
     y = np.asarray(returns.values, dtype=float)
     s1 = _resolve_sigma1_sq(returns, sigma1_sq)

@@ -78,12 +78,9 @@ class StudentTProposal:
 def estimate_moments(samples: Sequence[Sequence[float]]) -> MomentEstimate:
     """Sample mean and unbiased (N-1) covariance of the draws.
 
-    Accepts an (N, p) array or a sequence of p-vectors; plain scalars are
-    treated as one-dimensional draws.
+    Takes an (N, p) array or a sequence of N p-vectors, one draw per row.
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise DomainError(f"samples must form an (N, p) array, got shape {arr.shape}")
     n = arr.shape[0]

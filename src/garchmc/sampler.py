@@ -172,12 +172,6 @@ def mh_step(
     return MHStep(current, False, lt_cur, lg_cur)
 
 
-def default_theta0(returns, kind: model.ModelKind) -> model.ModelParams:
-    """Interior starting point scaled to the data's variance."""
-    variance = float(np.var(np.asarray(returns.values, dtype=float)))
-    return model.ModelParams(max(0.1 * variance, 1e-12), 0.1, 0.8, 0.0, kind)
-
-
 def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     """Full adaptive run against a return series.
 
@@ -187,7 +181,9 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     which the proposal stays fixed).  Per-window acceptance fractions and
     per-update moment snapshots are recorded.
     """
-    params0 = default_theta0(returns, config.kind)
+    # The warm-up starts at an interior point scaled to the data's variance.
+    variance = float(np.var(returns.values))
+    theta0 = model.ModelParams(max(0.1 * variance, 1e-12), 0.1, 0.8, 0.0, config.kind).as_vector()
     target = model.log_posterior_fn(returns, config.kind, config.sigma1_sq)
     names = config.kind.param_names
     p = len(names)
@@ -195,7 +191,7 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     warm_seed, mh_seed = np.random.SeedSequence(config.seed).spawn(2)
     pool = metropolis_warmup(
         target,
-        params0.as_vector(),
+        theta0,
         config.initial_pool,
         config.burn_in,
         np.random.default_rng(warm_seed),

@@ -7,6 +7,7 @@ import pytest
 
 from garchmc import (
     ChainConfig,
+    ChainResult,
     ModelKind,
     ModelParams,
     MomentSnapshot,
@@ -266,8 +267,10 @@ def test_run_flag_defaults_are_chain_config_defaults():
     ("--freeze-after", "-1"),
     ("--seed", "-1"),
     ("--initial-pool", "1"),
+    ("--nic-max", "inf"),
+    ("--nic-min=-inf",),
 ], ids=["infinite-nu", "one-nic-point", "reversed-nic-grid", "infinite-sigma1-sq", "zero-sigma1-sq",
-        "negative-freeze-after", "negative-seed", "one-state-pool"])
+        "negative-freeze-after", "negative-seed", "one-state-pool", "infinite-nic-max", "infinite-nic-min"])
 def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys, flags):
     out = tmp_path / "o"
     code = main(["run", "--input", str(tmp_path / "never-read.csv"), "--input-kind", "returns",
@@ -293,6 +296,34 @@ def test_diagnostics_failure_keeps_the_chain(tmp_path, capsys, monkeypatch):
     assert len(rows) == 600
     assert (out / "acceptance.csv").exists() and (out / "moments.json").exists()
     assert not (out / "summary.json").exists()
+
+
+def test_chain_that_never_moves_writes_every_report(tmp_path, monkeypatch):
+    import garchmc.cli as cli
+
+    point = [0.06219, 0.07872, 0.89390, -0.12403]
+
+    def stuck(config, returns):
+        # Every candidate rejected: all draws equal the last warm-up state.
+        return ChainResult(
+            samples=np.tile(point, (config.total_samples, 1)),
+            param_names=config.kind.param_names,
+            acceptance_trace=np.zeros(config.total_samples // config.update_interval),
+            moment_trace=[],
+            warmup_samples=np.tile(point, (config.initial_pool, 1)),
+        )
+
+    monkeypatch.setattr(cli, "run_adaptive", stuck)
+    out = run_dir(tmp_path, simulate_file(tmp_path))
+    for name in ("samples.csv", "summary.json", "summary.txt", "acf.csv",
+                 "acceptance.csv", "moments.json", "nic.csv"):
+        assert (out / name).exists(), name
+    header, rows = read_csv(out / "acf.csv")
+    assert header == ["lag", "omega", "alpha", "beta", "gamma"]
+    assert len(rows) == 201 and all(np.isnan(row[1:]).all() for row in rows)
+    summary = json.loads((out / "summary.json").read_text())
+    assert all(block["two_tau_int"] is None for block in summary["parameters"].values())
+    assert [summary["parameters"][name]["mean"] for name in header[1:]] == point
 
 
 def test_flat_prices_need_an_explicit_initial_variance(tmp_path, capsys):

@@ -122,6 +122,9 @@ def test_tau_int_errors():
     # A slowly drifting ramp never satisfies the window rule below N/2.
     with pytest.raises(NonConvergenceError):
         integrated_autocorr_time(np.arange(200.0))
+    # An alternating series passes the window rule at W = 1 with tau_int < 0.
+    with pytest.raises(NonConvergenceError, match="not > 0"):
+        integrated_autocorr_time(np.tile([0.0, 1.0], 500))
 
 
 def test_jackknife_constant_series():
@@ -161,6 +164,11 @@ def test_summarize_constant_chain():
         assert summary.sd == 0.0
         assert summary.jackknife_se == 0.0
         assert math.isnan(summary.two_tau_int)
+
+
+def test_summarize_anti_correlated_chain_is_numerical_error():
+    with pytest.raises(NonConvergenceError):
+        summarize(fake_chain(np.tile([0.0, 1.0], 500)), ReturnSeries(np.array([0.1, -0.2])))
 
 
 def test_summarize_iid_pseudo_chain():

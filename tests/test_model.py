@@ -9,7 +9,6 @@ from garchmc import (
     ModelParams,
     ReturnSeries,
     log_likelihood,
-    log_posterior,
     log_posterior_fn,
     news_impact_curve,
     unconditional_variance,
@@ -83,7 +82,7 @@ def test_volatility_path_rejects_off_support():
         volatility_path(ModelParams(0.1, 0.6, 0.6, 0.0), ReturnSeries(np.array([1.0])), 1.0)
 
 
-@pytest.mark.parametrize("fn", [volatility_path, log_likelihood, log_posterior])
+@pytest.mark.parametrize("fn", [volatility_path, log_likelihood])
 @pytest.mark.parametrize("sigma1_sq", [0.0, math.inf])
 def test_initial_variance_must_be_finite_and_positive(fn, sigma1_sq):
     with pytest.raises(DomainError, match="initial variance"):
@@ -153,30 +152,26 @@ def test_log_likelihood_scaling_covariance():
 
 
 def test_log_posterior_equals_likelihood_on_support():
+    # The flat prior adds nothing on the support.
     rng = np.random.default_rng(31)
     y = ReturnSeries(rng.standard_normal(80))
+    fn = log_posterior_fn(y, ModelKind.QGARCH, 1.0)
     for _ in range(10):
         params = random_support_params(rng)
-        assert log_posterior(params, y, 1.0) == log_likelihood(params, y, 1.0)
+        assert fn(params.as_vector()) == log_likelihood(params, y, 1.0)
 
 
 def test_log_posterior_off_support_is_minus_inf():
     y = ReturnSeries(np.array([0.5, -0.2, 0.1]))
-    assert log_posterior(ModelParams(0.1, 0.6, 0.6, 0.0), y, 1.0) == -math.inf
-    assert log_posterior(ModelParams(0.1, 0.01, 0.5, 0.5), y, 1.0) == -math.inf  # gamma^2 > 4 a w
-    assert log_posterior(ModelParams(-0.1, 0.1, 0.5, 0.0), y, 1.0) == -math.inf
-    # GARCH kind requires gamma == 0 even though its vector form drops it
-    assert log_posterior(ModelParams(0.1, 0.1, 0.5, 0.1, ModelKind.GARCH), y, 1.0) == -math.inf
-
-
-def test_log_posterior_preserves_likelihood_ordering():
-    rng = np.random.default_rng(37)
-    y = ReturnSeries(rng.standard_normal(60))
-    for _ in range(20):
-        a, b = random_support_params(rng), random_support_params(rng)
-        la, lb = log_likelihood(a, y, 1.0), log_likelihood(b, y, 1.0)
-        pa, pb = log_posterior(a, y, 1.0), log_posterior(b, y, 1.0)
-        assert (la < lb) == (pa < pb)
+    fn = log_posterior_fn(y, ModelKind.QGARCH, 1.0)
+    assert fn(np.array([0.1, 0.6, 0.6, 0.0])) == -math.inf
+    assert fn(np.array([0.1, 0.01, 0.5, 0.5])) == -math.inf  # gamma^2 > 4 a w
+    assert fn(np.array([-0.1, 0.1, 0.5, 0.0])) == -math.inf
+    # alpha + beta == 1 exactly is not covariance stationary
+    assert log_posterior_fn(y, ModelKind.GARCH, 1.0)(np.array([0.1, 0.5, 0.5])) == -math.inf
+    # The GARCH vector form drops gamma, so only ModelParams can carry a
+    # nonzero one, and that lies off the GARCH support.
+    assert not ModelParams(0.1, 0.1, 0.5, 0.1, ModelKind.GARCH).in_support
 
 
 def test_log_posterior_fn_rejects_wrong_dimension():

@@ -15,7 +15,7 @@ from garchmc import (
 
 
 def test_estimate_moments_two_point():
-    moments = estimate_moments([0.0, 2.0])
+    moments = estimate_moments([[0.0], [2.0]])
     assert moments.mean[0] == 1.0
     assert moments.second_central[0, 0] == 2.0  # unbiased, divisor N-1
 
@@ -43,6 +43,9 @@ def test_estimate_moments_symmetric_by_construction():
 def test_estimate_moments_needs_two_samples():
     with pytest.raises(InsufficientDataError):
         estimate_moments([[1.0, 2.0]])
+    # One draw per row: a flat list is not read as N one-dimensional draws.
+    with pytest.raises(DomainError):
+        estimate_moments([0.0, 2.0])
 
 
 def test_build_proposal_identity_scaling():
