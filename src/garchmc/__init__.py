@@ -6,89 +6,13 @@ chain's own accumulated history, which keeps autocorrelation times close
 to one once the proposal has locked onto the posterior.
 """
 
-from .data import (
-    PriceSeries,
-    ReturnSeries,
-    load_prices,
-    load_returns,
-    to_returns,
-)
-from .diagnostics import (
-    ParamSummary,
-    SummaryReport,
-    acf,
-    integrated_autocorr_time,
-    jackknife_se,
-    summarize,
-)
-from .errors import (
-    DegenerateCovarianceError,
-    DegenerateSeriesError,
-    DomainError,
-    GarchMcError,
-    InsufficientDataError,
-    NonConvergenceError,
-    ParseError,
-)
-from .model import (
-    ModelKind,
-    ModelParams,
-    log_likelihood,
-    log_posterior_fn,
-    news_impact_curve,
-    simulate_qgarch,
-    unconditional_variance,
-    volatility_path,
-)
-from .proposal import MomentEstimate, StudentTProposal, build_proposal, estimate_moments
-from .sampler import (
-    ChainConfig,
-    ChainResult,
-    MHStep,
-    MomentSnapshot,
-    metropolis_warmup,
-    mh_step,
-    run_adaptive,
-)
+from .data import *
+from .diagnostics import *
+from .errors import *
+from .model import *
+from .proposal import *
+from .sampler import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainConfig",
-    "ChainResult",
-    "DegenerateCovarianceError",
-    "DegenerateSeriesError",
-    "DomainError",
-    "GarchMcError",
-    "InsufficientDataError",
-    "MHStep",
-    "ModelKind",
-    "ModelParams",
-    "MomentEstimate",
-    "MomentSnapshot",
-    "NonConvergenceError",
-    "ParamSummary",
-    "ParseError",
-    "PriceSeries",
-    "ReturnSeries",
-    "StudentTProposal",
-    "SummaryReport",
-    "acf",
-    "build_proposal",
-    "estimate_moments",
-    "integrated_autocorr_time",
-    "jackknife_se",
-    "load_prices",
-    "load_returns",
-    "log_likelihood",
-    "log_posterior_fn",
-    "metropolis_warmup",
-    "mh_step",
-    "news_impact_curve",
-    "run_adaptive",
-    "simulate_qgarch",
-    "summarize",
-    "to_returns",
-    "unconditional_variance",
-    "volatility_path",
-]
+__all__ = data.__all__ + diagnostics.__all__ + errors.__all__ + model.__all__ + proposal.__all__ + sampler.__all__

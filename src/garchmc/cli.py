@@ -5,7 +5,8 @@ sample store, summary report, and plot-data files into an output
 directory.  `garchmc simulate` writes a synthetic return CSV that `run`
 can consume directly.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage, else the error's `exit_code` (3 data
+error, 4 numerical failure; an `OSError` counts as a data error).
 """
 
 from __future__ import annotations
@@ -21,26 +22,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import data, diagnostics, model
-from .errors import (
-    DegenerateCovarianceError,
-    DegenerateSeriesError,
-    DomainError,
-    InsufficientDataError,
-    NonConvergenceError,
-    ParseError,
-)
+from .errors import DomainError, GarchMcError
 from .sampler import ChainConfig, ChainResult, run_adaptive
 
 log = logging.getLogger(__name__)
 
 ACF_MAX_LAG = 200
-
-EXIT_OK = 0
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-
-_DATA_ERRORS = (ParseError, InsufficientDataError, DomainError, OSError)
-_NUMERICAL_ERRORS = (DegenerateCovarianceError, DegenerateSeriesError, NonConvergenceError)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -198,13 +185,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             run(args)
         else:
             simulate(args)
-    except _NUMERICAL_ERRORS as exc:
+    except (GarchMcError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _DATA_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    return EXIT_OK
+        return getattr(exc, "exit_code", GarchMcError.exit_code)
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,6 +9,14 @@ demeaned so the volatility model can assume zero-mean observations.
 
 from __future__ import annotations
 
+__all__ = [
+    "PriceSeries",
+    "ReturnSeries",
+    "load_prices",
+    "load_returns",
+    "to_returns",
+]
+
 import csv
 import io
 import math

@@ -13,6 +13,15 @@ sqrt(2*tau_int / N) * SD up to a modest factor.
 
 from __future__ import annotations
 
+__all__ = [
+    "ParamSummary",
+    "SummaryReport",
+    "acf",
+    "integrated_autocorr_time",
+    "jackknife_se",
+    "summarize",
+]
+
 import math
 from dataclasses import astuple, dataclass
 

@@ -1,12 +1,25 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: input/parameter problems are data
-errors (exit 3), estimator breakdowns are numerical failures (exit 4).
+Each error carries the exit status the CLI returns for it, `exit_code`:
+input/parameter problems are data errors (exit 3, the default),
+estimator breakdowns are numerical failures (exit 4).
 """
+
+__all__ = [
+    "DegenerateCovarianceError",
+    "DegenerateSeriesError",
+    "DomainError",
+    "GarchMcError",
+    "InsufficientDataError",
+    "NonConvergenceError",
+    "ParseError",
+]
 
 
 class GarchMcError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
 
 
 class ParseError(GarchMcError):
@@ -24,10 +37,16 @@ class DomainError(GarchMcError):
 class DegenerateCovarianceError(GarchMcError):
     """Covariance matrix not positive definite even after regularization."""
 
+    exit_code = 4
+
 
 class DegenerateSeriesError(GarchMcError):
     """Series has zero variance where variation is required."""
 
+    exit_code = 4
+
 
 class NonConvergenceError(GarchMcError):
     """An iterative estimator failed to satisfy its stopping rule."""
+
+    exit_code = 4

@@ -14,6 +14,17 @@ support.
 
 from __future__ import annotations
 
+__all__ = [
+    "ModelKind",
+    "ModelParams",
+    "log_likelihood",
+    "log_posterior_fn",
+    "news_impact_curve",
+    "simulate_qgarch",
+    "unconditional_variance",
+    "volatility_path",
+]
+
 import enum
 import math
 from dataclasses import dataclass
@@ -127,6 +138,16 @@ def check_sigma1_sq(sigma1_sq: float, name: str = "initial variance") -> None:
         raise DomainError(f"{name} must be finite and positive, got {sigma1_sq}")
 
 
+def _squares(returns: ReturnSeries) -> np.ndarray:
+    """y_t^2 for every return; DomainError, not an overflow warning, if their sum is not finite."""
+    with np.errstate(over="ignore"):
+        y_sq = returns.values * returns.values
+        square_sum = y_sq.sum()
+    if not math.isfinite(square_sum):
+        raise DomainError(f"returns must have a finite sum of squares, got {square_sum}")
+    return y_sq
+
+
 def _resolve_sigma1_sq(returns: ReturnSeries, sigma1_sq: float | None) -> float:
     """The given initial variance, or by default the sample variance of the returns."""
     if sigma1_sq is None:
@@ -161,9 +182,9 @@ def volatility_path(
     """
     if not params.in_support:
         raise DomainError(f"parameters outside the model support: {params}")
+    y_sq = _squares(returns)
     s1 = _resolve_sigma1_sq(returns, sigma1_sq)
-    y_lag = np.asarray(returns.values, dtype=float)[:-1]
-    tail = _variance_tail(y_lag, y_lag * y_lag, params.omega, params.alpha, params.beta, params.gamma, s1)
+    tail = _variance_tail(returns.values[:-1], y_sq[:-1], params.omega, params.alpha, params.beta, params.gamma, s1)
     sig = np.concatenate(([s1], tail))
     if not np.all(sig > 0.0):
         raise DomainError("conditional variance reached zero; parameters sit on the support boundary")
@@ -191,11 +212,10 @@ def log_posterior_fn(
     candidates without special-casing.  It is what the samplers hammer
     on, so slices and constants are precomputed here instead of per call.
     """
-    y = np.asarray(returns.values, dtype=float)
+    y = returns.values
+    y_sq = _squares(returns)
     s1 = _resolve_sigma1_sq(returns, sigma1_sq)
-    y_lag = y[:-1]
-    y_lag_sq = y_lag * y_lag
-    y_sq = y * y
+    y_lag, y_lag_sq = y[:-1], y_sq[:-1]
     n_log_2pi = y.size * math.log(2.0 * math.pi)
     dim = len(kind.param_names)
 

@@ -14,6 +14,13 @@ X = Y * sqrt(nu/w) and return L X + M.
 
 from __future__ import annotations
 
+__all__ = [
+    "MomentEstimate",
+    "StudentTProposal",
+    "build_proposal",
+    "estimate_moments",
+]
+
 import math
 from dataclasses import dataclass
 from typing import Sequence

@@ -10,6 +10,16 @@ proposal's (M, Sigma) are re-fitted from all samples accumulated so far
 
 from __future__ import annotations
 
+__all__ = [
+    "ChainConfig",
+    "ChainResult",
+    "MHStep",
+    "MomentSnapshot",
+    "metropolis_warmup",
+    "mh_step",
+    "run_adaptive",
+]
+
 import logging
 import math
 from dataclasses import dataclass
@@ -181,10 +191,12 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     which the proposal stays fixed).  Per-window acceptance fractions and
     per-update moment snapshots are recorded.
     """
+    # Bound first: it rejects returns whose squares overflow before np.var
+    # would warn about them.
+    target = model.log_posterior_fn(returns, config.kind, config.sigma1_sq)
     # The warm-up starts at an interior point scaled to the data's variance.
     variance = float(np.var(returns.values))
     theta0 = model.ModelParams(max(0.1 * variance, 1e-12), 0.1, 0.8, 0.0, config.kind).as_vector()
-    target = model.log_posterior_fn(returns, config.kind, config.sigma1_sq)
     names = config.kind.param_names
     p = len(names)
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -269,8 +270,11 @@ def test_run_flag_defaults_are_chain_config_defaults():
     ("--initial-pool", "1"),
     ("--nic-max", "inf"),
     ("--nic-min=-inf",),
+    ("--burn-in", "0"),
+    ("--update-interval", "0"),
 ], ids=["infinite-nu", "one-nic-point", "reversed-nic-grid", "infinite-sigma1-sq", "zero-sigma1-sq",
-        "negative-freeze-after", "negative-seed", "one-state-pool", "infinite-nic-max", "infinite-nic-min"])
+        "negative-freeze-after", "negative-seed", "one-state-pool", "infinite-nic-max", "infinite-nic-min",
+        "no-burn-in", "no-update-interval"])
 def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys, flags):
     out = tmp_path / "o"
     code = main(["run", "--input", str(tmp_path / "never-read.csv"), "--input-kind", "returns",
@@ -278,6 +282,19 @@ def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys
     assert code == 3
     assert "DomainError" in capsys.readouterr().err  # a read attempt would raise FileNotFoundError
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [(), ("--sigma1-sq", "1")], ids=["default-sigma1-sq", "given-sigma1-sq"])
+def test_returns_whose_squares_overflow_are_a_data_error(tmp_path, capsys, extra):
+    data = tmp_path / "huge.csv"
+    data.write_text("1e308\n-1e308\n1e308\n-1e308\n1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--input", str(data), "--input-kind", "returns",
+                     "--out-dir", str(tmp_path / "o"), *RUN_FLAGS, *extra])
+    assert code == 3
+    assert "DomainError: returns must have a finite sum of squares" in capsys.readouterr().err
+    assert not caught
 
 
 def test_diagnostics_failure_keeps_the_chain(tmp_path, capsys, monkeypatch):

@@ -154,11 +154,12 @@ def test_log_likelihood_scaling_covariance():
 def test_log_posterior_equals_likelihood_on_support():
     # The flat prior adds nothing on the support.
     rng = np.random.default_rng(31)
-    y = ReturnSeries(rng.standard_normal(80))
-    fn = log_posterior_fn(y, ModelKind.QGARCH, 1.0)
+    y = rng.standard_normal(80)
+    fn = log_posterior_fn(ReturnSeries(y), ModelKind.QGARCH, 1.0)
     for _ in range(10):
         params = random_support_params(rng)
-        assert fn(params.as_vector()) == log_likelihood(params, y, 1.0)
+        want = naive_log_likelihood(params.omega, params.alpha, params.beta, params.gamma, y, 1.0)
+        assert abs(fn(params.as_vector()) - want) <= 1e-12 * abs(want)
 
 
 def test_log_posterior_off_support_is_minus_inf():
@@ -172,6 +173,17 @@ def test_log_posterior_off_support_is_minus_inf():
     # The GARCH vector form drops gamma, so only ModelParams can carry a
     # nonzero one, and that lies off the GARCH support.
     assert not ModelParams(0.1, 0.1, 0.5, 0.1, ModelKind.GARCH).in_support
+
+
+@pytest.mark.parametrize("sigma1_sq", [None, 1.0])
+def test_returns_whose_squares_overflow_are_a_domain_error(sigma1_sq):
+    # Each return is finite, so the series holds them; their squares are
+    # not.  The suite turns a numpy overflow warning into a failure.
+    y = ReturnSeries(np.array([1e308, -1e308, 1e308]))
+    with pytest.raises(DomainError, match="returns"):
+        log_posterior_fn(y, ModelKind.QGARCH, sigma1_sq)
+    with pytest.raises(DomainError, match="returns"):
+        volatility_path(NIKKEI, y, sigma1_sq)
 
 
 def test_log_posterior_fn_rejects_wrong_dimension():
