@@ -38,6 +38,10 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
     """Header line, then one line per row with every cell at 17 significant digits."""
+    if isinstance(rows, np.ndarray):
+        # Python floats format faster than numpy scalars, to the same bytes.
+        # Row by row: a whole-array tolist() would hold every value at once.
+        rows = map(np.ndarray.tolist, rows)
     lines = [",".join(header)]
     lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")

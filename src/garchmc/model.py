@@ -97,7 +97,9 @@ def _variance_tail(
     y_lag: np.ndarray, y_lag_sq: np.ndarray, omega: float, alpha: float, beta: float, gamma: float, s1: float
 ) -> np.ndarray:
     """sigma2_2..sigma2_n from y_1..y_{n-1}, their squares, and sigma2_1 = s1."""
-    drive = omega + gamma * y_lag + alpha * y_lag_sq
+    # gamma * y_lag adds exactly zero to omega at gamma = 0 (the returns
+    # are finite), so skipping it changes no bit.
+    drive = alpha * y_lag_sq + omega if gamma == 0.0 else omega + gamma * y_lag + alpha * y_lag_sq
     # sigma2_t = drive_t + beta * sigma2_{t-1} is a first-order linear
     # recurrence; lfilter evaluates it in C.
     tail, _ = lfilter([1.0], [1.0, -beta], drive, zi=np.array([beta * s1]))
@@ -215,28 +217,24 @@ def log_posterior_fn(
     y = returns.values
     y_sq = _squares(returns)
     s1 = _resolve_sigma1_sq(returns, sigma1_sq)
-    y_lag, y_lag_sq = y[:-1], y_sq[:-1]
-    n_log_2pi = y.size * math.log(2.0 * math.pi)
+    y_lag, y_lag_sq, y_sq_tail = y[:-1], y_sq[:-1], y_sq[1:]
+    # The theta-free terms: n ln(2 pi) and the first return's ln s1 + y_1^2 / s1.
+    const = y.size * math.log(2.0 * math.pi) + math.log(s1) + float(y_sq[0]) / s1
     dim = len(kind.param_names)
 
     def logpost(theta: np.ndarray) -> float:
         if len(theta) != dim:
             raise DomainError(f"expected parameter vector of length {dim}, got {len(theta)}")
-        # Index rather than unpack: unpacking iterates the array, which is
-        # measurably slower on this hot path.
-        omega, alpha, beta = theta[0], theta[1], theta[2]
-        gamma = theta[3] if dim == 4 else 0.0
+        # One conversion to Python floats: the support check and the
+        # scalar arithmetic cost less on them than on numpy scalars.
+        values = np.asarray(theta, dtype=float).tolist()
+        omega, alpha, beta = values[0], values[1], values[2]
+        gamma = values[3] if dim == 4 else 0.0
         if not _in_support(omega, alpha, beta, gamma):
             return -math.inf
         sig_tail = _variance_tail(y_lag, y_lag_sq, omega, alpha, beta, gamma, s1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ll = -0.5 * (
-                n_log_2pi
-                + math.log(s1)
-                + np.log(sig_tail).sum()
-                + y_sq[0] / s1
-                + (y_sq[1:] / sig_tail).sum()
-            )
+            ll = -0.5 * (const + np.log(sig_tail).sum() + (y_sq_tail / sig_tail).sum())
         # Exact-boundary parameters can drive a variance to zero, which
         # shows up as inf/nan here; treat it as a rejection.
         return float(ll) if math.isfinite(ll) else -math.inf

@@ -67,10 +67,13 @@ class StudentTProposal:
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One draw via the normal/chi-square representation."""
-        y = rng.standard_normal(self.mean.shape)
-        w = rng.chisquare(self.nu)
-        x = y * math.sqrt(self.nu / w)
-        return self.chol @ x + self.mean
+        # ndarray.dot and in-place updates: per-call overhead dominates at
+        # p = 3 or 4, and `@` and fresh temporaries cost more of it.
+        x = rng.standard_normal(self.mean.size)
+        x *= math.sqrt(self.nu / rng.chisquare(self.nu))
+        draw = self.chol.dot(x)
+        draw += self.mean
+        return draw
 
     def log_density(self, theta: Sequence[float]) -> float:
         """Exact log g(theta), normalization included."""
@@ -78,7 +81,7 @@ class StudentTProposal:
         if theta.shape != self.mean.shape:
             raise DomainError(f"expected vector of dimension {self.mean.size}, got shape {theta.shape}")
         d = theta - self.mean
-        quad = d @ self._precision @ d
+        quad = d.dot(self._precision).dot(d)
         return self._log_norm - 0.5 * (self.nu + self.mean.size) * math.log1p(quad / self.nu)
 
 
@@ -86,17 +89,31 @@ def estimate_moments(samples: Sequence[Sequence[float]]) -> MomentEstimate:
     """Sample mean and unbiased (N-1) covariance of the draws.
 
     Takes an (N, p) array or a sequence of N p-vectors, one draw per row.
+    Two passes over one contiguous row per parameter: the means, then the
+    p(p+1)/2 dot products of the centered rows, so the covariance is
+    symmetric by construction.  The input is not modified.  Draws too
+    large for their squares to fit a float give non-finite moments,
+    without a warning; `build_proposal` rejects them.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2:
         raise DomainError(f"samples must form an (N, p) array, got shape {arr.shape}")
-    n = arr.shape[0]
+    n, p = arr.shape
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples to estimate moments, got {n}")
-    mean = arr.mean(axis=0)
-    centered = arr - mean
-    cov = centered.T @ centered / (n - 1)
-    return MomentEstimate(mean=mean, second_central=(cov + cov.T) / 2.0)
+    # A copy in any case: the rows are centered in place.
+    rows = arr.T.copy()
+    cov = np.empty((p, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=1)
+        rows -= mean[:, np.newaxis]
+        for i in range(p):
+            for j in range(i + 1):
+                # einsum, not np.dot: np.dot hands long vectors to a
+                # multithreaded BLAS whose workers then spin on idle cores.
+                cov[i, j] = cov[j, i] = np.einsum("i,i->", rows[i], rows[j])
+        cov /= n - 1
+    return MomentEstimate(mean=mean, second_central=cov)
 
 
 def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
@@ -105,19 +122,26 @@ def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
     Sigma = (nu-2)/nu * V matches the proposal's covariance to V.  If the
     Cholesky factorization fails (early-chain samples can be collinear),
     an identity jitter is added and doubled up to JITTER_TRIES times.
+    Non-finite moments are a DegenerateCovarianceError.
     """
     check_nu(nu)
     v = np.asarray(moments.second_central, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
         raise DomainError(f"second moment must be square and non-empty, got shape {v.shape}")
-    asym = np.max(np.abs(v - v.T))
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
-        raise DomainError(f"second moment is not symmetric (max asymmetry {asym:.3e})")
-    v = (v + v.T) / 2.0
     p = v.shape[0]
     mean = np.asarray(moments.mean, dtype=float)
     if mean.shape != (p,):
         raise DomainError(f"mean shape {mean.shape} does not match dimension {p}")
+    # Draws near the float limit overflow their squares; no jitter mends that.
+    if not (np.isfinite(v).all() and np.isfinite(mean).all()):
+        raise DegenerateCovarianceError(
+            f"moments are not finite (mean {mean.tolist()}, variances {np.diag(v).tolist()}): "
+            "draws this large overflow their squares"
+        )
+    asym = np.max(np.abs(v - v.T))
+    if asym > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
+        raise DomainError(f"second moment is not symmetric (max asymmetry {asym:.3e})")
+    v = (v + v.T) / 2.0
 
     sigma = (nu - 2.0) / nu * v
     eps = JITTER_SCALE * max(1.0, float(np.trace(v)) / p)

@@ -209,10 +209,11 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
         np.random.default_rng(warm_seed),
     )
 
-    # Pool and adaptive draws share one buffer so each re-fit sees all
-    # accumulated data without copying.
+    # Pool and adaptive draws share one buffer, so each re-fit reads every
+    # draw so far from one slice.  Column-major: each parameter's history
+    # is contiguous, the layout `estimate_moments` copies the slice into.
     n_pool, total, interval = config.initial_pool, config.total_samples, config.update_interval
-    store = np.empty((n_pool + total, p))
+    store = np.empty((n_pool + total, p), order="F")
     store[:n_pool] = pool
 
     moments = estimate_moments(store[:n_pool])

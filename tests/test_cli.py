@@ -17,7 +17,7 @@ from garchmc import (
     load_returns,
     news_impact_curve,
 )
-from garchmc.cli import _build_parser, main
+from garchmc.cli import _build_parser, _write_csv, main
 
 RUN_FLAGS = [
     "--burn-in", "300",
@@ -225,6 +225,44 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
                  "--out-dir", str(tmp_path / "out"), *RUN_FLAGS])
     assert code == 4
     assert "DegenerateCovarianceError" in capsys.readouterr().err
+
+
+def test_moments_that_overflow_are_a_numerical_failure(tmp_path, capsys):
+    # The squares of the returns sum to a finite ~3e306, but the warm-up
+    # settles at omega ~ 1e303, whose squared deviations overflow the
+    # proposal's covariance.
+    data = tmp_path / "huge.csv"
+    values = np.random.default_rng(3).standard_normal(300) * 1e152
+    data.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--input", str(data), "--input-kind", "returns",
+                     "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 4
+    assert "DegenerateCovarianceError: moments are not finite" in capsys.readouterr().err
+    assert not caught
+
+
+def test_write_csv_golden_bytes(tmp_path):
+    # Each cell is format(v, ".17g"), which differs from repr for most of
+    # these; a round-trip test cannot see the difference.
+    rows = np.array([
+        [0.1, 1e-300, -2.5e17],
+        [1.0 / 3.0, 5e-324, -0.0],
+        [1.0, 2.0**53 + 2.0, 123456789.125],
+    ])
+    expected = (
+        b"a,b,c\n"
+        b"0.10000000000000001,1e-300,-2.5e+17\n"
+        b"0.33333333333333331,4.9406564584124654e-324,-0\n"
+        b"1,9007199254740994,123456789.125\n"
+    )
+    _write_csv(tmp_path / "array.csv", ("a", "b", "c"), rows)
+    _write_csv(tmp_path / "scalars.csv", ("a", "b", "c"), [tuple(row) for row in rows])
+    assert (tmp_path / "array.csv").read_bytes() == expected
+    assert (tmp_path / "scalars.csv").read_bytes() == expected
+    _write_csv(tmp_path / "indexed.csv", ("window", "acceptance"), enumerate(np.array([0.1, 0.25]), 1))
+    assert (tmp_path / "indexed.csv").read_bytes() == b"window,acceptance\n1,0.10000000000000001\n2,0.25\n"
 
 
 def test_bad_nic_grid_is_data_error(tmp_path, capsys):

@@ -40,6 +40,70 @@ def test_estimate_moments_symmetric_by_construction():
     np.testing.assert_array_equal(moments.second_central, moments.second_central.T)
 
 
+def fsum_moments(arr):
+    """Two-pass mean and N-1 covariance with exactly rounded sums."""
+    rows = arr.tolist()
+    n, p = len(rows), len(rows[0])
+    mean = [math.fsum(r[i] for r in rows) / n for i in range(p)]
+    cov = [
+        [math.fsum((r[i] - mean[i]) * (r[j] - mean[j]) for r in rows) / (n - 1) for j in range(p)]
+        for i in range(p)
+    ]
+    return np.array(mean), np.array(cov)
+
+
+def draws_with_offset_column(rng, n=3001):
+    # Column 2 sits at 1e6 +- 1e-3: a one-pass E[x^2] - E[x]^2 would lose
+    # every digit of its variance.
+    base = rng.standard_normal((n, 3)) @ np.array([[1.0, 0.3, 0.0], [0.0, 2.0, 0.1], [0.0, 0.0, 1e-3]])
+    base[:, 2] += 1e6
+    return base
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_estimate_moments_matches_fsum_oracle(layout):
+    arr = draws_with_offset_column(np.random.default_rng(21))
+    if layout == "F":
+        arr = np.asfortranarray(arr)
+    elif layout == "strided":
+        arr = arr[::3]
+    before = arr.copy()
+    got = estimate_moments(arr)
+    np.testing.assert_array_equal(arr, before)
+    want_mean, want_cov = fsum_moments(arr)
+    # Errors relative to each column's mean magnitude and to the
+    # covariance's natural scale sqrt(V_ii V_jj).
+    mean_scale = np.mean(np.abs(arr), axis=0)
+    assert np.all(np.abs(got.mean - want_mean) <= 1e-12 * mean_scale)
+    cov_scale = np.sqrt(np.outer(np.diag(want_cov), np.diag(want_cov)))
+    assert np.all(np.abs(got.second_central - want_cov) <= 1e-12 * cov_scale)
+    np.testing.assert_array_equal(got.second_central, got.second_central.T)
+
+
+def test_estimate_moments_overflow_is_non_finite_without_warning():
+    # The suite turns warnings into errors; build_proposal rejects the result.
+    draws = np.random.default_rng(22).standard_normal((50, 2)) * 1e300
+    moments = estimate_moments(draws)
+    assert not np.all(np.isfinite(moments.second_central))
+    with pytest.raises(DegenerateCovarianceError, match="not finite"):
+        build_proposal(moments, nu=10.0)
+
+
+@pytest.mark.parametrize(
+    "mean, v",
+    [
+        ([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]]),
+        ([math.inf, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([math.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+    ],
+    ids=["inf-variance", "nan-covariance", "inf-mean", "nan-mean"],
+)
+def test_build_proposal_rejects_non_finite_moments(mean, v):
+    with pytest.raises(DegenerateCovarianceError, match="not finite"):
+        build_proposal(MomentEstimate(np.array(mean), np.array(v)), nu=10.0)
+
+
 def test_estimate_moments_needs_two_samples():
     with pytest.raises(InsufficientDataError):
         estimate_moments([[1.0, 2.0]])
