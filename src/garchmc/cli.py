@@ -12,12 +12,13 @@ error, 4 numerical failure; an `OSError` counts as a data error).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,15 +37,15 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    """Header line, then one line per row with every cell at 17 significant digits."""
-    if isinstance(rows, np.ndarray):
-        # Python floats format faster than numpy scalars, to the same bytes.
-        # Row by row: a whole-array tolist() would hold every value at once.
-        rows = map(np.ndarray.tolist, rows)
-    lines = [",".join(header)]
-    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> None:
+    """Header line, then one line per row of the 2-D `table` with every cell at 17 significant digits.
+
+    Written row by row to a temporary file that then replaces `path`, so the
+    file text is never held in memory and a reader never sees half a file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    np.savetxt(tmp, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    os.replace(tmp, path)
 
 
 def _write_samples_csv(path: Path, result: ChainResult) -> None:
@@ -59,11 +60,12 @@ def _write_acf_csv(path: Path, result: ChainResult) -> None:
         np.full(max_lag + 1, np.nan) if np.all(col == col[0]) else diagnostics.acf(col, max_lag)
         for col in result.samples.T
     ]
-    _write_csv(path, ("lag", *result.param_names), zip(range(max_lag + 1), *columns))
+    _write_csv(path, ("lag", *result.param_names), np.column_stack([np.arange(max_lag + 1), *columns]))
 
 
 def _write_acceptance_csv(path: Path, result: ChainResult) -> None:
-    _write_csv(path, ("window", "acceptance"), enumerate(result.acceptance_trace, 1))
+    trace = result.acceptance_trace
+    _write_csv(path, ("window", "acceptance"), np.column_stack([np.arange(1, trace.size + 1), trace]))
 
 
 def _write_moments_json(path: Path, result: ChainResult, nu: float) -> None:
@@ -90,17 +92,9 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     then summary.json, summary.txt, acf.csv and nic.csv.  Each file is
     written atomically.
     """
-    config = ChainConfig(
-        kind=model.ModelKind(args.model),
-        burn_in=args.burn_in,
-        initial_pool=args.initial_pool,
-        update_interval=args.update_interval,
-        total_samples=args.samples,
-        nu=args.nu,
-        seed=args.seed,
-        sigma1_sq=args.sigma1_sq,
-        freeze_after=args.freeze_after,
-    )
+    # Each `run` flag of a chain setting has its `ChainConfig` field as destination.
+    settings = {field.name: getattr(args, field.name) for field in dataclasses.fields(ChainConfig)}
+    config = ChainConfig(**{**settings, "kind": model.ModelKind(args.kind)})
     if config.total_samples < diagnostics.MIN_SAMPLES:
         raise DomainError(f"run needs --samples >= {diagnostics.MIN_SAMPLES}, got {config.total_samples}")
     if not -np.inf < args.nic_min < args.nic_max < np.inf:
@@ -155,12 +149,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", required=True, type=Path, help="input CSV path")
     p_run.add_argument("--input-kind", choices=["prices", "returns"], default="prices")
     p_run.add_argument("--column", default="0", help="price/return column name or index")
-    p_run.add_argument("--model", choices=["garch", "qgarch"], default=ChainConfig.kind.value)
+    p_run.add_argument("--model", dest="kind", choices=["garch", "qgarch"], default=ChainConfig.kind.value)
     p_run.add_argument("--nu", type=float, default=ChainConfig.nu, help="proposal shape parameter")
     p_run.add_argument("--burn-in", type=int, default=ChainConfig.burn_in)
     p_run.add_argument("--initial-pool", type=int, default=ChainConfig.initial_pool)
     p_run.add_argument("--update-interval", type=int, default=ChainConfig.update_interval)
-    p_run.add_argument("--samples", type=int, default=ChainConfig.total_samples)
+    p_run.add_argument("--samples", dest="total_samples", metavar="SAMPLES", type=int, default=ChainConfig.total_samples)
     p_run.add_argument("--seed", type=int, default=ChainConfig.seed)
     p_run.add_argument("--sigma1-sq", type=float, default=None, help="initial variance (default: sample variance)")
     p_run.add_argument("--freeze-after", type=int, default=None, help="stop proposal updates after this many draws")

@@ -73,16 +73,15 @@ class ReturnSeries:
 
 
 def _read_rows(source: Source) -> list[list[str]]:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    try:
+        text = Path(source).read_text(encoding="utf-8") if isinstance(source, (str, Path)) else source.read()
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text ({exc})") from None
     # A byte-order mark survives a text stream's decoding, so strip it here
     # for every kind of source.
     text = text.removeprefix("\ufeff")
-    rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
-    return rows
+    return [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
 
 
 def _parse_float(cell: str) -> float | None:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from garchmc import (
     ChainConfig,
     ChainResult,
+    DomainError,
     ModelKind,
     ModelParams,
     MomentSnapshot,
@@ -244,8 +246,8 @@ def test_moments_that_overflow_are_a_numerical_failure(tmp_path, capsys):
 
 
 def test_write_csv_golden_bytes(tmp_path):
-    # Each cell is format(v, ".17g"), which differs from repr for most of
-    # these; a round-trip test cannot see the difference.
+    # Each cell is "%.17g", which differs from repr for most of these; a
+    # round-trip test cannot see the difference.
     rows = np.array([
         [0.1, 1e-300, -2.5e17],
         [1.0 / 3.0, 5e-324, -0.0],
@@ -258,11 +260,31 @@ def test_write_csv_golden_bytes(tmp_path):
         b"1,9007199254740994,123456789.125\n"
     )
     _write_csv(tmp_path / "array.csv", ("a", "b", "c"), rows)
-    _write_csv(tmp_path / "scalars.csv", ("a", "b", "c"), [tuple(row) for row in rows])
     assert (tmp_path / "array.csv").read_bytes() == expected
-    assert (tmp_path / "scalars.csv").read_bytes() == expected
-    _write_csv(tmp_path / "indexed.csv", ("window", "acceptance"), enumerate(np.array([0.1, 0.25]), 1))
-    assert (tmp_path / "indexed.csv").read_bytes() == b"window,acceptance\n1,0.10000000000000001\n2,0.25\n"
+    # An integer-valued index column prints as integers, as acceptance.csv's
+    # windows and acf.csv's lags do; a NaN cell prints as acf.csv's
+    # never-moved column does.
+    indexed = np.column_stack([np.arange(1, 3), [0.1, np.nan]])
+    _write_csv(tmp_path / "indexed.csv", ("window", "acceptance"), indexed)
+    assert (tmp_path / "indexed.csv").read_bytes() == b"window,acceptance\n1,0.10000000000000001\n2,nan\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_write_csv_streams_rows(tmp_path):
+    # A writer that builds the file text in memory peaks above the file's
+    # size, three times this bound.  20k rows, not more: np.savetxt runs
+    # ~20x slower under tracemalloc.
+    bound = 2**19
+    table = np.random.default_rng(0).standard_normal((20_000, 4))
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "big.csv", ("a", "b", "c", "d"), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert (tmp_path / "big.csv").stat().st_size > 3 * bound
+    assert (tmp_path / "big.csv").read_bytes().count(b"\n") == 20_001
 
 
 def test_bad_nic_grid_is_data_error(tmp_path, capsys):
@@ -288,13 +310,40 @@ def test_too_few_samples_is_data_error_before_the_fit(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
-def test_run_flag_defaults_are_chain_config_defaults():
+def run_config(monkeypatch, tmp_path, *flags):
+    """The `ChainConfig` that `garchmc run` hands to the sampler for `flags`."""
+    import garchmc.cli as cli
+
+    seen = []
+
+    def stop(config, returns):
+        seen.append(config)
+        raise DomainError("stop after the config is built")
+
+    monkeypatch.setattr(cli, "run_adaptive", stop)
+    assert main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                 "--out-dir", str(tmp_path / "o"), *flags]) == 3
+    return seen[0]
+
+
+def test_run_flag_defaults_are_chain_config_defaults(monkeypatch, tmp_path):
     args = _build_parser().parse_args(["run", "--input", "x", "--out-dir", "y"])
-    config = ChainConfig()
-    flags = (args.burn_in, args.initial_pool, args.update_interval, args.samples, args.nu, args.seed)
-    fields = (config.burn_in, config.initial_pool, config.update_interval, config.total_samples, config.nu, config.seed)
-    assert flags == fields
-    assert ModelKind(args.model) is config.kind
+    assert {field.name for field in dataclasses.fields(ChainConfig)} <= set(vars(args))
+    assert run_config(monkeypatch, tmp_path) == ChainConfig()
+
+
+def test_run_flags_set_every_chain_config_field(monkeypatch, tmp_path):
+    flags = {
+        "--model": "garch", "--burn-in": "7", "--initial-pool": "11", "--update-interval": "13",
+        "--samples": "170", "--nu": "4.5", "--seed": "19", "--sigma1-sq": "2.25", "--freeze-after": "23",
+    }
+    expected = ChainConfig(kind=ModelKind.GARCH, burn_in=7, initial_pool=11, update_interval=13, total_samples=170,
+                           nu=4.5, seed=19, sigma1_sq=2.25, freeze_after=23)
+    assert len(flags) == len(dataclasses.fields(ChainConfig))
+    assert all(getattr(expected, f.name) != f.default for f in dataclasses.fields(ChainConfig))
+    config = run_config(monkeypatch, tmp_path, *(item for pair in flags.items() for item in pair))
+    assert config == expected
+    assert config.kind is ModelKind.GARCH
 
 
 @pytest.mark.parametrize("flags", [

@@ -65,6 +65,27 @@ def test_load_prices_byte_order_mark_before_header_names_column(tmp_path):
         np.testing.assert_allclose(series.prices, [100.0, 101.0, 99.0], err_msg=kind)
 
 
+LATIN1_PRICES = b"close\n100\n101\xe9\n102\n"  # 0xE9 is "é" in latin-1 and no UTF-8 sequence
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_load_prices_non_utf8_input_is_parse_error(tmp_path, kind):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(LATIN1_PRICES)
+    source = path if kind == "path" else io.BytesIO(LATIN1_PRICES)
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        load_prices(source, "close")
+
+
+def test_run_non_utf8_input_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(LATIN1_PRICES)
+    out = tmp_path / "o"
+    assert main(["run", "--input", str(path), "--column", "close", "--out-dir", str(out)]) == 3
+    assert "ParseError: input is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_prices_bad_cell_names_row():
     with pytest.raises(ParseError, match="row 3"):
         load_prices(io.StringIO("100\n101\nabc\n"))
