@@ -28,8 +28,6 @@ from .sampler import ChainConfig, ChainResult, run_adaptive
 
 log = logging.getLogger(__name__)
 
-ACF_MAX_LAG = 200
-
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
@@ -52,15 +50,8 @@ def _write_samples_csv(path: Path, result: ChainResult) -> None:
     _write_csv(path, result.param_names, result.samples)
 
 
-def _write_acf_csv(path: Path, result: ChainResult) -> None:
-    max_lag = min(ACF_MAX_LAG, result.samples.shape[0] - 1)
-    # A parameter that never moved has no ACF: its column is NaN, as its
-    # mixing figures in the summary are.
-    columns = [
-        np.full(max_lag + 1, np.nan) if np.all(col == col[0]) else diagnostics.acf(col, max_lag)
-        for col in result.samples.T
-    ]
-    _write_csv(path, ("lag", *result.param_names), np.column_stack([np.arange(max_lag + 1), *columns]))
+def _write_acf_csv(path: Path, report: diagnostics.SummaryReport, names: Sequence[str]) -> None:
+    _write_csv(path, ("lag", *names), np.column_stack([np.arange(len(report.acf)), report.acf]))
 
 
 def _write_acceptance_csv(path: Path, result: ChainResult) -> None:
@@ -120,7 +111,7 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
 
     _atomic_write(out / "summary.json", json.dumps(report.to_dict(), indent=2) + "\n")
     _atomic_write(out / "summary.txt", report.to_text())
-    _write_acf_csv(out / "acf.csv", result)
+    _write_acf_csv(out / "acf.csv", report, result.param_names)
     write_news_impact_csv(out / "nic.csv", posterior_mean, grid)
     return report
 

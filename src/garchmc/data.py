@@ -78,10 +78,11 @@ def _read_rows(source: Source) -> list[list[str]]:
         text = text.decode("utf-8") if isinstance(text, bytes) else text
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text ({exc})") from None
-    # A byte-order mark survives a text stream's decoding, so strip it here
-    # for every kind of source.
+    # A byte-order mark survives a text stream's decoding, and only a path
+    # gets universal newlines from `read_text`, so strip the mark and
+    # translate "\r" and "\r\n" here for every kind of source.
     text = text.removeprefix("\ufeff")
-    return [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
+    return [row for row in csv.reader(io.StringIO(text, newline=None)) if any(cell.strip() for cell in row)]
 
 
 def _parse_float(cell: str) -> float | None:

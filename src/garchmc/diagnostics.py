@@ -40,6 +40,8 @@ DEFAULT_JACKKNIFE_BLOCKS = 50
 # Shortest chain `summarize` takes: two draws per default jackknife block,
 # which is also the least `integrated_autocorr_time` accepts.
 MIN_SAMPLES = 2 * DEFAULT_JACKKNIFE_BLOCKS
+# Longest lag of the ACF table `summarize` reports.
+ACF_MAX_LAG = 200
 
 
 def acf(series, max_lag: int) -> np.ndarray:
@@ -129,12 +131,19 @@ class ParamSummary:
 
 @dataclass(frozen=True)
 class SummaryReport:
-    """Per-parameter posterior summaries plus run-level figures."""
+    """Per-parameter posterior summaries plus run-level figures.
+
+    `acf` holds one ACF column per parameter for lags
+    0..min(ACF_MAX_LAG, N - 1); a parameter that never moved has a NaN
+    column, as it has NaN mixing figures.  `to_dict` and `to_text` leave
+    it out.
+    """
 
     params: dict[str, ParamSummary]
     n_samples: int
     n_observations: int
     acceptance_plateau: float
+    acf: np.ndarray
 
     def to_dict(self) -> dict:
         def clean(v: float):
@@ -173,14 +182,15 @@ def summarize(result, returns) -> SummaryReport:
     For each parameter: the plain arithmetic mean of the draws, the sample
     SD, the block-jackknife SE, and 2*tau_int with its error, plus the
     ratio of the jackknife SE to sqrt(2*tau_int/N) * SD (which should sit
-    near 1).  A constant column reports its value as the mean (the float
-    average of identical values can be off by an ulp), zero spread and NaN
-    mixing stats.
+    near 1), and its ACF up to lag min(ACF_MAX_LAG, N - 1).  A constant
+    column reports its value as the mean (the float average of identical
+    values can be off by an ulp), zero spread and NaN mixing stats and ACF.
     """
     samples = np.asarray(result.samples, dtype=float)
     if samples.size == 0:
         raise InsufficientDataError("chain holds no samples")
     n = samples.shape[0]
+    acfs = np.full((min(ACF_MAX_LAG + 1, n), samples.shape[1]), np.nan)
     params: dict[str, ParamSummary] = {}
     for j, name in enumerate(result.param_names):
         col = samples[:, j]
@@ -193,6 +203,7 @@ def summarize(result, returns) -> SummaryReport:
         tau, tau_err = integrated_autocorr_time(col)
         ideal = math.sqrt(2.0 * tau / n) * sd
         params[name] = ParamSummary(mean, sd, se, 2.0 * tau, 2.0 * tau_err, se / ideal)
+        acfs[:, j] = acf(col, len(acfs) - 1)
     trace = np.asarray(result.acceptance_trace, dtype=float)
     plateau = float(trace[-10:].mean()) if trace.size else math.nan
     return SummaryReport(
@@ -200,4 +211,5 @@ def summarize(result, returns) -> SummaryReport:
         n_samples=n,
         n_observations=len(returns),
         acceptance_plateau=plateau,
+        acf=acfs,
     )

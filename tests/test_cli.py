@@ -28,6 +28,7 @@ RUN_FLAGS = [
     "--samples", "600",
     "--seed", "5",
 ]
+REPORT_FILES = ("samples.csv", "summary.json", "summary.txt", "acf.csv", "acceptance.csv", "moments.json", "nic.csv")
 
 
 def simulate_file(tmp_path, name="returns.csv", seed=100, n=400):
@@ -97,8 +98,7 @@ def test_simulate_negative_seed_is_data_error(tmp_path, capsys):
 
 def test_run_emits_all_output_files(tmp_path):
     out = run_dir(tmp_path, simulate_file(tmp_path))
-    for name in ("samples.csv", "summary.json", "summary.txt", "acf.csv",
-                 "acceptance.csv", "moments.json", "nic.csv"):
+    for name in REPORT_FILES:
         assert (out / name).exists(), name
 
     header, rows = read_csv(out / "samples.csv")
@@ -139,8 +139,8 @@ def test_run_deterministic_byte_identical(tmp_path):
     data = simulate_file(tmp_path)
     a = run_dir(tmp_path, data, out_name="a")
     b = run_dir(tmp_path, data, out_name="b")
-    assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
-    assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+    for name in REPORT_FILES:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_run_csv_numbers_round_trip(tmp_path):
@@ -419,8 +419,7 @@ def test_chain_that_never_moves_writes_every_report(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_adaptive", stuck)
     out = run_dir(tmp_path, simulate_file(tmp_path))
-    for name in ("samples.csv", "summary.json", "summary.txt", "acf.csv",
-                 "acceptance.csv", "moments.json", "nic.csv"):
+    for name in REPORT_FILES:
         assert (out / name).exists(), name
     header, rows = read_csv(out / "acf.csv")
     assert header == ["lag", "omega", "alpha", "beta", "gamma"]

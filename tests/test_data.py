@@ -65,6 +65,17 @@ def test_load_prices_byte_order_mark_before_header_names_column(tmp_path):
         np.testing.assert_allclose(series.prices, [100.0, 101.0, 99.0], err_msg=kind)
 
 
+@pytest.mark.parametrize("text, column", [
+    ("100\r101\r102\r", 0),
+    ("100\r\n101\r\n102\r\n", 0),
+    ("\ufeffclose\r100\r101\r102\r", "close"),
+])
+def test_load_prices_any_line_end_from_every_source(tmp_path, text, column):
+    for kind, source in each_source(tmp_path, text).items():
+        series = load_prices(source, column)
+        np.testing.assert_allclose(series.prices, [100.0, 101.0, 102.0], err_msg=kind)
+
+
 LATIN1_PRICES = b"close\n100\n101\xe9\n102\n"  # 0xE9 is "é" in latin-1 and no UTF-8 sequence
 
 

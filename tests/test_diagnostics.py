@@ -211,3 +211,13 @@ def test_summary_text_holds_json_values_exactly():
     assert float(cells[2]) == data["parameters"]["theta"]["sd"]
     assert float(cells[3]) == data["parameters"]["theta"]["jackknife_se"]
     assert float(cells[4]) == data["parameters"]["theta"]["two_tau_int"]
+
+
+def test_summarize_acf_table_to_last_lag_with_nan_for_a_constant_column():
+    rng = np.random.default_rng(16)
+    samples = np.column_stack([rng.standard_normal(150), np.full(150, 0.25), ar1(150, 0.5, seed=17)])
+    report = summarize(fake_chain(samples, names=("a", "fixed", "b")), ReturnSeries(np.array([0.0, 1.0])))
+    assert report.acf.shape == (150, 3)
+    np.testing.assert_array_equal(report.acf[:, 0], acf(samples[:, 0], 149))
+    np.testing.assert_array_equal(report.acf[:, 2], acf(samples[:, 2], 149))
+    assert np.isnan(report.acf[:, 1]).all()
