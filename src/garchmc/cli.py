@@ -35,14 +35,25 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# Rows formatted per write; bounds the text held in memory at once.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> None:
     """Header line, then one line per row of the 2-D `table` with every cell at 17 significant digits.
 
-    Written row by row to a temporary file that then replaces `path`, so the
-    file text is never held in memory and a reader never sees half a file.
+    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",",
+    comments="")`.  Each block of rows is formatted by one `%` operation and
+    written to a temporary file that then replaces `path`, so the whole file
+    text is never held in memory and a reader never sees half a file.
     """
     tmp = path.with_name(path.name + ".tmp")
-    np.savetxt(tmp, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            f.write(row_format * len(block) % tuple(block.ravel().tolist()))
     os.replace(tmp, path)
 
 

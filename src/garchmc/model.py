@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal._sigtools import _linear_filter
 
 from .data import ReturnSeries
 from .errors import DomainError, InsufficientDataError
@@ -93,6 +93,10 @@ def _in_support(omega: float, alpha: float, beta: float, gamma: float) -> bool:
     )
 
 
+# The recurrence's numerator coefficients, b = [1].
+_ONE = np.ones(1)
+
+
 def _variance_tail(
     y_lag: np.ndarray, y_lag_sq: np.ndarray, omega: float, alpha: float, beta: float, gamma: float, s1: float
 ) -> np.ndarray:
@@ -101,8 +105,10 @@ def _variance_tail(
     # are finite), so skipping it changes no bit.
     drive = alpha * y_lag_sq + omega if gamma == 0.0 else omega + gamma * y_lag + alpha * y_lag_sq
     # sigma2_t = drive_t + beta * sigma2_{t-1} is a first-order linear
-    # recurrence; lfilter evaluates it in C.
-    tail, _ = lfilter([1.0], [1.0, -beta], drive, zi=np.array([beta * s1]))
+    # recurrence.  This is the compiled routine behind scipy.signal.lfilter
+    # for this input, called without lfilter's per-call argument handling;
+    # public lfilter is its test oracle.
+    tail, _ = _linear_filter(_ONE, np.array([1.0, -beta]), drive, -1, np.array([beta * s1]))
     return tail
 
 
@@ -222,6 +228,9 @@ def log_posterior_fn(
     const = y.size * math.log(2.0 * math.pi) + math.log(s1) + float(y_sq[0]) / s1
     dim = len(kind.param_names)
 
+    # The variance path and the sum may overflow or divide by zero; the
+    # result is then not finite and is read as a rejection below.
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def logpost(theta: np.ndarray) -> float:
         if len(theta) != dim:
             raise DomainError(f"expected parameter vector of length {dim}, got {len(theta)}")
@@ -233,8 +242,7 @@ def log_posterior_fn(
         if not _in_support(omega, alpha, beta, gamma):
             return -math.inf
         sig_tail = _variance_tail(y_lag, y_lag_sq, omega, alpha, beta, gamma, s1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ll = -0.5 * (const + np.log(sig_tail).sum() + (y_sq_tail / sig_tail).sum())
+        ll = -0.5 * (const + np.log(sig_tail).sum() + (y_sq_tail / sig_tail).sum())
         # Exact-boundary parameters can drive a variance to zero, which
         # shows up as inf/nan here; treat it as a rejection.
         return float(ll) if math.isfinite(ll) else -math.inf

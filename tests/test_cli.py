@@ -19,7 +19,7 @@ from garchmc import (
     load_returns,
     news_impact_curve,
 )
-from garchmc.cli import _build_parser, _write_csv, main
+from garchmc.cli import _CSV_BLOCK_ROWS, _build_parser, _write_csv, main
 
 RUN_FLAGS = [
     "--burn-in", "300",
@@ -272,8 +272,8 @@ def test_write_csv_golden_bytes(tmp_path):
 
 def test_write_csv_streams_rows(tmp_path):
     # A writer that builds the file text in memory peaks above the file's
-    # size, three times this bound.  20k rows, not more: np.savetxt runs
-    # ~20x slower under tracemalloc.
+    # size, three times this bound.  20k rows, not more: the writer runs
+    # several times slower under tracemalloc.
     bound = 2**19
     table = np.random.default_rng(0).standard_normal((20_000, 4))
     tracemalloc.start()
@@ -285,6 +285,29 @@ def test_write_csv_streams_rows(tmp_path):
     assert peak < bound
     assert (tmp_path / "big.csv").stat().st_size > 3 * bound
     assert (tmp_path / "big.csv").read_bytes().count(b"\n") == 20_001
+
+
+@pytest.mark.parametrize("shape", [
+    (0, 3),
+    (1, 1),
+    (_CSV_BLOCK_ROWS - 1, 4),
+    (_CSV_BLOCK_ROWS, 4),
+    (_CSV_BLOCK_ROWS + 1, 4),
+    (2 * _CSV_BLOCK_ROWS + 7, 3),
+])
+def test_write_csv_block_bytes_equal_savetxt(tmp_path, shape):
+    # The writer formats whole blocks of rows at once; each block boundary
+    # and the last partial block must give np.savetxt's bytes.
+    table = np.random.default_rng(shape[0]).standard_normal(shape)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 3.0, -12.0]
+    flat = table.reshape(-1)
+    k = min(len(special), flat.size)
+    flat[:k] = special[:k]
+    flat[flat.size - k :] = special[::-1][:k]
+    header = [f"c{j}" for j in range(shape[1])]
+    np.savetxt(tmp_path / "want.csv", table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    _write_csv(tmp_path / "got.csv", header, table)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_bad_nic_grid_is_data_error(tmp_path, capsys):

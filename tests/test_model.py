@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from garchmc import (
     DomainError,
@@ -11,9 +13,11 @@ from garchmc import (
     log_likelihood,
     log_posterior_fn,
     news_impact_curve,
+    simulate_qgarch,
     unconditional_variance,
     volatility_path,
 )
+from garchmc.model import _variance_tail
 
 # Posterior-mean fits typical of daily equity-index returns, used as
 # realistic test points throughout the suite.
@@ -184,6 +188,34 @@ def test_returns_whose_squares_overflow_are_a_domain_error(sigma1_sq):
         log_posterior_fn(y, ModelKind.QGARCH, sigma1_sq)
     with pytest.raises(DomainError, match="returns"):
         volatility_path(NIKKEI, y, sigma1_sq)
+
+
+def test_overflowing_variance_path_is_minus_inf_without_warning():
+    # omega + alpha * y^2 overflows at the first step though every y^2 is
+    # finite: a numerical rejection, not a warning.
+    params = ModelParams(1e308, 0.9, 0.05, 0.0, ModelKind.GARCH)
+    y = ReturnSeries(np.array([1e154, 1.0, -1.0, 2.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert log_posterior_fn(y, ModelKind.GARCH, 1.0)(params.as_vector()) == -math.inf
+        assert log_likelihood(params, y, 1.0) == -math.inf
+    assert not caught
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 250, 2700])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.91, 1.0 - 1e-12])
+@pytest.mark.parametrize("gamma", [0.0, -0.12403])
+def test_variance_kernel_matches_public_lfilter(n, beta, gamma):
+    # The kernel calls scipy's compiled recurrence without lfilter's
+    # wrapper; lfilter on the same drive must give the same bits.
+    y = simulate_qgarch(NIKKEI, n, 1.0, seed=n).values
+    y_lag, y_lag_sq = y[:-1], y[:-1] * y[:-1]
+    omega, alpha, s1 = 0.06219, 0.07872, 1.3
+    drive = alpha * y_lag_sq + omega if gamma == 0.0 else omega + gamma * y_lag + alpha * y_lag_sq
+    want = lfilter([1.0], [1.0, -beta], drive, zi=[beta * s1])[0]
+    got = _variance_tail(y_lag, y_lag_sq, omega, alpha, beta, gamma, s1)
+    assert got.shape == (n - 1,)
+    assert np.array_equal(got, want)
 
 
 def test_log_posterior_fn_rejects_wrong_dimension():
