@@ -26,7 +26,6 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
 
 from .errors import (
     DegenerateSeriesError,
@@ -59,13 +58,32 @@ def acf(series, max_lag: int) -> np.ndarray:
         raise DomainError(f"need series length > max_lag >= 1, got N={n}, max_lag={max_lag}")
     if np.all(x == x[0]):
         raise DegenerateSeriesError("constant series has no autocorrelation function")
+    return _acf(x, max_lag)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, as scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # The least power of two that takes this odd part to n.
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _acf(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """`acf` of a non-constant 1-D float series with 1 <= max_lag < N."""
     centered = x - x.mean()
     if float(centered @ centered) == 0.0:
         raise DegenerateSeriesError("series variance is zero")
     # Zero-padded FFT gives all overlapping-pair sums in O(N log N).
-    nfft = next_fast_len(2 * n)
-    spectrum = rfft(centered, nfft)
-    corr = irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1]
+    nfft = _fft_length(2 * x.size)
+    spectrum = np.fft.rfft(centered, nfft)
+    corr = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1]
     return corr / corr[0]
 
 
@@ -82,8 +100,12 @@ def integrated_autocorr_time(series) -> tuple[float, float]:
     n = x.size
     if n < MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {MIN_SAMPLES} points for tau_int, got {n}")
+    return _tau_from_acf(acf(x, n // 2), n)
+
+
+def _tau_from_acf(rho: np.ndarray, n: int) -> tuple[float, float]:
+    """`integrated_autocorr_time` from the ACF of N draws at lags 0..N // 2."""
     max_lag = n // 2
-    rho = acf(x, max_lag)
     tau_at = 0.5 + np.cumsum(rho[1:])
     windows = np.arange(1, max_lag + 1)
     admissible = windows >= WINDOW_FACTOR * tau_at
@@ -200,10 +222,12 @@ def summarize(result, returns) -> SummaryReport:
         mean = float(col.mean())
         sd = float(col.std(ddof=1))
         se = jackknife_se(col)
-        tau, tau_err = integrated_autocorr_time(col)
+        # One ACF serves tau_int (lags 0..n // 2) and the table.
+        rho = _acf(col, max(n // 2, len(acfs) - 1))
+        tau, tau_err = _tau_from_acf(rho[: n // 2 + 1], n)
         ideal = math.sqrt(2.0 * tau / n) * sd
         params[name] = ParamSummary(mean, sd, se, 2.0 * tau, 2.0 * tau_err, se / ideal)
-        acfs[:, j] = acf(col, len(acfs) - 1)
+        acfs[:, j] = rho[: len(acfs)]
     trace = np.asarray(result.acceptance_trace, dtype=float)
     plateau = float(trace[-10:].mean()) if trace.size else math.nan
     return SummaryReport(

@@ -26,12 +26,15 @@ __all__ = [
 ]
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal._sigtools import _linear_filter
+import scipy
 
 from .data import ReturnSeries
 from .errors import DomainError, InsufficientDataError
@@ -92,6 +95,27 @@ def _in_support(omega: float, alpha: float, beta: float, gamma: float) -> bool:
         and gamma * gamma <= 4.0 * alpha * omega
     )
 
+
+def _load_sigtools():
+    """scipy's compiled `scipy.signal._sigtools` module, loaded from its file.
+
+    Importing it by name first runs `scipy.signal`'s package init, which
+    imports most of scipy (about a second); the compiled module needs none
+    of it, so it is loaded by path.  If `scipy.signal` is imported later,
+    it finds this very module.
+    """
+    directory = Path(scipy.__file__).parent / "signal"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_sigtools{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.signal._sigtools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled _sigtools module is missing from {directory}")
+
+
+_linear_filter = _load_sigtools()._linear_filter
 
 # The recurrence's numerator coefficients, b = [1].
 _ONE = np.ones(1)
@@ -192,8 +216,14 @@ def volatility_path(
         raise DomainError(f"parameters outside the model support: {params}")
     y_sq = _squares(returns)
     s1 = _resolve_sigma1_sq(returns, sigma1_sq)
-    tail = _variance_tail(returns.values[:-1], y_sq[:-1], params.omega, params.alpha, params.beta, params.gamma, s1)
+    # The path may overflow; it is then rejected by name below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = _variance_tail(
+            returns.values[:-1], y_sq[:-1], params.omega, params.alpha, params.beta, params.gamma, s1
+        )
     sig = np.concatenate(([s1], tail))
+    if not np.all(np.isfinite(sig)):
+        raise DomainError("conditional variance path is not finite; the variances overflow a float")
     if not np.all(sig > 0.0):
         raise DomainError("conditional variance reached zero; parameters sit on the support boundary")
     return sig

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegenerateCovarianceError, DomainError, InsufficientDataError
 
@@ -161,8 +160,8 @@ def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
 
     log_det = 2.0 * float(np.log(np.diag(chol)).sum())
     log_norm = (
-        gammaln((nu + p) / 2.0)
-        - gammaln(nu / 2.0)
+        math.lgamma((nu + p) / 2.0)
+        - math.lgamma(nu / 2.0)
         - 0.5 * log_det
         - 0.5 * p * math.log(nu * math.pi)
     )

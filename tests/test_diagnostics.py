@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from garchmc import (
     ChainResult,
@@ -15,6 +16,7 @@ from garchmc import (
     jackknife_se,
     summarize,
 )
+from garchmc.diagnostics import _fft_length
 
 
 def naive_acf(x, max_lag):
@@ -62,6 +64,12 @@ def test_acf_matches_direct_summation():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(500).cumsum()  # strongly correlated series
     np.testing.assert_allclose(acf(x, 20), naive_acf(x, 20), rtol=1e-9, atol=1e-12)
+
+
+def test_fft_length_is_scipy_next_fast_len():
+    # acf pads to scipy's fast length; a power of two would move the ACF's last bits.
+    for n in [*range(1, 5001), 7919, 65_537, 200_000, 999_999, 1_048_577, 2_000_000]:
+        assert _fft_length(n) == next_fast_len(n, real=True), n
 
 
 def test_acf_white_noise_band():

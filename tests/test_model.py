@@ -202,6 +202,19 @@ def test_overflowing_variance_path_is_minus_inf_without_warning():
     assert not caught
 
 
+def test_volatility_path_names_overflow_apart_from_a_zero_variance():
+    # The path overflows to inf and then NaN: a DomainError that says so,
+    # without a numpy warning, not "reached zero".
+    overflowing = ModelParams(1e308, 0.9, 0.05, 0.0, ModelKind.GARCH)
+    with pytest.raises(DomainError, match="not finite"):
+        volatility_path(overflowing, ReturnSeries(np.array([1e154, 1.0, -1.0, 2.0])), 1.0)
+    # On the support boundary gamma^2 = 4 alpha omega with beta = 0, the
+    # return y = -gamma / (2 alpha) = 2 gives a variance of exactly zero.
+    boundary = ModelParams(1.0, 0.25, 0.0, -1.0)
+    with pytest.raises(DomainError, match="reached zero"):
+        volatility_path(boundary, ReturnSeries(np.array([2.0, 1.0])), 1.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 250, 2700])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.91, 1.0 - 1e-12])
 @pytest.mark.parametrize("gamma", [0.0, -0.12403])

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 
 import garchmc
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_all_lists_every_public_name():
@@ -10,3 +17,31 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(garchmc.__all__) == public
+
+
+def test_cli_import_loads_only_scipys_compiled_recurrence():
+    # A fresh interpreter, so modules the tests import do not count.  Then
+    # scipy.signal is imported after the package, as a caller of both may
+    # do, and the kernel must still match public lfilter bit for bit.
+    child = textwrap.dedent(
+        """
+        import sys
+        import garchmc.cli
+        heavy = ("scipy.signal", "scipy.stats", "scipy.fft", "scipy.special")
+        loaded = [m for m in heavy if m in sys.modules]
+        assert not loaded, loaded
+        import numpy as np
+        from scipy.signal import lfilter
+        from garchmc.model import _variance_tail
+        y = np.random.default_rng(4).standard_normal(2700)
+        y_lag, y_lag_sq = y[:-1], y[:-1] * y[:-1]
+        drive = 0.06219 + -0.12403 * y_lag + 0.07872 * y_lag_sq
+        want = lfilter([1.0], [1.0, -0.8939], drive, zi=[0.8939 * 1.3])[0]
+        got = _variance_tail(y_lag, y_lag_sq, 0.06219, 0.07872, 0.8939, -0.12403, 1.3)
+        assert np.array_equal(got, want)
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
