@@ -35,7 +35,7 @@ class DomainError(GarchMcError):
 
 
 class DegenerateCovarianceError(GarchMcError):
-    """Covariance matrix not positive definite even after regularization."""
+    """Covariance matrix that is not finite or has no Cholesky factor."""
 
     exit_code = 4
 

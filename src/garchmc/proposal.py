@@ -7,9 +7,11 @@ The density with location M, scale matrix Sigma and shape nu is
                * [1 + (theta-M)' Sigma^{-1} (theta-M) / nu]^{-(nu+p)/2}
 
 and its covariance is nu/(nu-2) * Sigma, so a proposal matched to chain
-moments (M, V) uses Sigma = (nu-2)/nu * V.  Sampling goes through the
-Cholesky factor L of Sigma: draw Y ~ N(0, I), w ~ chi2_nu, set
-X = Y * sqrt(nu/w) and return L X + M.
+moments (M, V) uses Sigma = (nu-2)/nu * V.  Everything goes through the
+Cholesky factor L of Sigma.  Sampling: draw Y ~ N(0, I), w ~ chi2_nu, set
+X = Y * sqrt(nu/w) and return L X + M.  Density: with z = L^{-1} (theta-M)
+the quadratic form is z'z, a sum of squares, and det(Sigma) is the squared
+product of L's diagonal.  A Sigma that does not factor has no density.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateCovarianceError, DomainError, InsufficientDataError
-
-# Regularization ladder for (near-)singular chain covariances: start at
-# JITTER_SCALE * max(1, trace/p) and double up to JITTER_TRIES times.
-JITTER_SCALE = 1e-8
-JITTER_TRIES = 10
 
 
 def check_nu(nu: float) -> None:
@@ -55,13 +52,17 @@ class MomentEstimate:
 
 @dataclass(frozen=True)
 class StudentTProposal:
-    """Frozen Student-t density: location, scale, Cholesky factor, shape."""
+    """Frozen Student-t density: location, scale, Cholesky factor, shape.
+
+    `_chol_inv` is L^{-1}, through which `log_density` evaluates the
+    quadratic form.
+    """
 
     mean: np.ndarray
     sigma: np.ndarray
     chol: np.ndarray
     nu: float
-    _precision: np.ndarray
+    _chol_inv: np.ndarray
     _log_norm: float
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
@@ -79,8 +80,8 @@ class StudentTProposal:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != self.mean.shape:
             raise DomainError(f"expected vector of dimension {self.mean.size}, got shape {theta.shape}")
-        d = theta - self.mean
-        quad = d.dot(self._precision).dot(d)
+        z = self._chol_inv.dot(theta - self.mean)
+        quad = z.dot(z)
         return self._log_norm - 0.5 * (self.nu + self.mean.size) * math.log1p(quad / self.nu)
 
 
@@ -118,10 +119,11 @@ def estimate_moments(samples: Sequence[Sequence[float]]) -> MomentEstimate:
 def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
     """Scale the chain covariance into a Student-t proposal.
 
-    Sigma = (nu-2)/nu * V matches the proposal's covariance to V.  If the
-    Cholesky factorization fails (early-chain samples can be collinear),
-    an identity jitter is added and doubled up to JITTER_TRIES times.
-    Non-finite moments are a DegenerateCovarianceError.
+    Sigma = (nu-2)/nu * V matches the proposal's covariance to V.  The
+    proposal keeps Sigma's Cholesky factor L and L^{-1}, through which
+    `log_density` evaluates the quadratic form.  Non-finite moments, and a
+    Sigma that does not factor (early-chain draws can be collinear), are a
+    DegenerateCovarianceError.
     """
     check_nu(nu)
     v = np.asarray(moments.second_central, dtype=float)
@@ -131,7 +133,7 @@ def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
     mean = np.asarray(moments.mean, dtype=float)
     if mean.shape != (p,):
         raise DomainError(f"mean shape {mean.shape} does not match dimension {p}")
-    # Draws near the float limit overflow their squares; no jitter mends that.
+    # Draws near the float limit overflow their squares.
     if not (np.isfinite(v).all() and np.isfinite(mean).all()):
         raise DegenerateCovarianceError(
             f"moments are not finite (mean {mean.tolist()}, variances {np.diag(v).tolist()}): "
@@ -143,35 +145,27 @@ def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
     v = (v + v.T) / 2.0
 
     sigma = (nu - 2.0) / nu * v
-    eps = JITTER_SCALE * max(1.0, float(np.trace(v)) / p)
-    jitter = 0.0
-    for attempt in range(JITTER_TRIES + 1):
-        try:
-            candidate = sigma if jitter == 0.0 else sigma + jitter * np.eye(p)
-            chol = np.linalg.cholesky(candidate)
-            sigma = candidate
-            break
-        except np.linalg.LinAlgError:
-            jitter = eps * 2.0**attempt
-    else:
+    try:
+        chol = np.linalg.cholesky(sigma)
+        chol_inv = np.linalg.inv(chol)
+    except np.linalg.LinAlgError:
         raise DegenerateCovarianceError(
-            f"covariance not positive definite after {JITTER_TRIES} jitter doublings"
-        )
+            f"covariance is not positive definite (variances {np.diag(v).tolist()}): "
+            "the draws are collinear; a longer --burn-in or a larger --initial-pool helps"
+        ) from None
 
-    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
+    # log det(Sigma)^(1/2) is the sum of the logs of L's diagonal.
     log_norm = (
         math.lgamma((nu + p) / 2.0)
         - math.lgamma(nu / 2.0)
-        - 0.5 * log_det
+        - float(np.log(np.diag(chol)).sum())
         - 0.5 * p * math.log(nu * math.pi)
     )
-    precision = np.linalg.inv(sigma)
-    precision = (precision + precision.T) / 2.0
     return StudentTProposal(
         mean=mean,
         sigma=sigma,
         chol=chol,
         nu=float(nu),
-        _precision=precision,
+        _chol_inv=chol_inv,
         _log_norm=float(log_norm),
     )

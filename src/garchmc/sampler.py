@@ -56,9 +56,10 @@ class ChainConfig:
     freeze_after: int | None = None
 
     def __post_init__(self):
-        # The first proposal needs a covariance, so the pool holds at least
-        # two states.
-        least = {"burn_in": 1, "initial_pool": 2, "update_interval": 1, "total_samples": 1, "seed": 0}
+        # The first proposal needs a full-rank covariance, and N states span
+        # at most N-1 dimensions, so the pool holds at least p+1 states.
+        least = {"burn_in": 1, "initial_pool": len(self.kind.param_names) + 1, "update_interval": 1,
+                 "total_samples": 1, "seed": 0}
         for name, low in least.items():
             if getattr(self, name) < low:
                 raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")

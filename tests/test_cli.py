@@ -229,6 +229,21 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "DegenerateCovarianceError" in capsys.readouterr().err
 
 
+def test_collinear_warm_up_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    import garchmc.sampler as sampler
+
+    def stuck(target, theta0, n_keep, n_discard, rng):
+        return np.tile(theta0, (n_keep, 1))
+
+    monkeypatch.setattr(sampler, "metropolis_warmup", stuck)
+    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                 "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "DegenerateCovarianceError: covariance is not positive definite" in err
+    assert "Traceback" not in err
+
+
 def test_moments_that_overflow_are_a_numerical_failure(tmp_path, capsys):
     # The squares of the returns sum to a finite ~3e306, but the warm-up
     # settles at omega ~ 1e303, whose squared deviations overflow the
@@ -378,12 +393,15 @@ def test_run_flags_set_every_chain_config_field(monkeypatch, tmp_path):
     ("--freeze-after", "-1"),
     ("--seed", "-1"),
     ("--initial-pool", "1"),
+    ("--initial-pool", "4"),
+    ("--model", "garch", "--initial-pool", "3"),
     ("--nic-max", "inf"),
     ("--nic-min=-inf",),
     ("--burn-in", "0"),
     ("--update-interval", "0"),
 ], ids=["infinite-nu", "one-nic-point", "reversed-nic-grid", "infinite-sigma1-sq", "zero-sigma1-sq",
-        "negative-freeze-after", "negative-seed", "one-state-pool", "infinite-nic-max", "infinite-nic-min",
+        "negative-freeze-after", "negative-seed", "one-state-pool", "rank-deficient-qgarch-pool",
+        "rank-deficient-garch-pool", "infinite-nic-max", "infinite-nic-min",
         "no-burn-in", "no-update-interval"])
 def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys, flags):
     out = tmp_path / "o"

@@ -265,6 +265,10 @@ def test_chain_config_validation():
         small_config(seed=-1)
     with pytest.raises(DomainError):
         small_config(initial_pool=1)
+    # Four QGARCH parameters need five states for a full-rank covariance.
+    with pytest.raises(DomainError, match="initial_pool must be >= 5"):
+        small_config(initial_pool=4)
+    assert small_config(initial_pool=5).initial_pool == 5
     for sigma1_sq in (0.0, math.inf):
         with pytest.raises(DomainError):
             small_config(sigma1_sq=sigma1_sq)
