@@ -24,9 +24,8 @@ import numpy as np
 
 from . import data, diagnostics, model
 from .errors import DomainError, GarchMcError
+from .proposal import NU_MAX
 from .sampler import ChainConfig, ChainResult, run_adaptive
-
-log = logging.getLogger(__name__)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -89,10 +88,11 @@ def _load_input(args: argparse.Namespace) -> data.ReturnSeries:
 def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     """Execute a full run from parsed `run` arguments, writing the report files into `--out-dir`.
 
-    Writes samples.csv, acceptance.csv and moments.json as soon as the
-    chain is finished, so a diagnostics failure still leaves the chain;
-    then summary.json, summary.txt, acf.csv and nic.csv.  Each file is
-    written atomically.
+    Creates `--out-dir` once the chain has finished, so a failed fit
+    leaves no directory, and writes samples.csv, acceptance.csv and
+    moments.json into it at once, so a diagnostics failure still leaves
+    the chain; then summary.json, summary.txt, acf.csv and nic.csv.  Each
+    file is written atomically.
     """
     # Each `run` flag of a chain setting has its `ChainConfig` field as destination.
     settings = {field.name: getattr(args, field.name) for field in dataclasses.fields(ChainConfig)}
@@ -106,11 +106,14 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
 
     returns = _load_input(args)
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        raise DomainError(f"output directory {out} is not writable")
+    # Fail before the fit if `out` could not be created: its nearest
+    # existing ancestor must be a writable directory.
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK)):
+        raise DomainError(f"cannot create output directory {out}: {nearest} is not a writable directory")
 
     result = run_adaptive(config, returns)
+    out.mkdir(parents=True, exist_ok=True)
     _write_samples_csv(out / "samples.csv", result)
     _write_acceptance_csv(out / "acceptance.csv", result)
     _write_moments_json(out / "moments.json", result, config.nu)
@@ -152,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input-kind", choices=["prices", "returns"], default="prices")
     p_run.add_argument("--column", default="0", help="price/return column name or index")
     p_run.add_argument("--model", dest="kind", choices=["garch", "qgarch"], default=ChainConfig.kind.value)
-    p_run.add_argument("--nu", type=float, default=ChainConfig.nu, help="proposal shape parameter")
+    p_run.add_argument("--nu", type=float, default=ChainConfig.nu, help=f"proposal shape parameter, 2 < NU <= {NU_MAX:.0f}")
     p_run.add_argument("--burn-in", type=int, default=ChainConfig.burn_in)
     p_run.add_argument("--initial-pool", type=int, default=ChainConfig.initial_pool)
     p_run.add_argument("--update-interval", type=int, default=ChainConfig.update_interval)

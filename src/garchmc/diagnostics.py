@@ -58,30 +58,12 @@ def acf(series, max_lag: int) -> np.ndarray:
         raise DomainError(f"need series length > max_lag >= 1, got N={n}, max_lag={max_lag}")
     if np.all(x == x[0]):
         raise DegenerateSeriesError("constant series has no autocorrelation function")
-    return _acf(x, max_lag)
-
-
-def _fft_length(n: int) -> int:
-    """Smallest 2**a * 3**b * 5**c >= n, as scipy.fft.next_fast_len(n, real=True)."""
-    best = 1 << (n - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            # The least power of two that takes this odd part to n.
-            best = min(best, odd << (-(-n // odd) - 1).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
-
-
-def _acf(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """`acf` of a non-constant 1-D float series with 1 <= max_lag < N."""
     centered = x - x.mean()
     if float(centered @ centered) == 0.0:
         raise DegenerateSeriesError("series variance is zero")
-    # Zero-padded FFT gives all overlapping-pair sums in O(N log N).
-    nfft = _fft_length(2 * x.size)
+    # Zero padding to a power of two >= 2N gives all overlapping-pair sums
+    # in O(N log N) without wrap-around, and never hits a slow FFT length.
+    nfft = 1 << (2 * n - 1).bit_length()
     spectrum = np.fft.rfft(centered, nfft)
     corr = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1]
     return corr / corr[0]
@@ -223,7 +205,7 @@ def summarize(result, returns) -> SummaryReport:
         sd = float(col.std(ddof=1))
         se = jackknife_se(col)
         # One ACF serves tau_int (lags 0..n // 2) and the table.
-        rho = _acf(col, max(n // 2, len(acfs) - 1))
+        rho = acf(col, max(n // 2, len(acfs) - 1))
         tau, tau_err = _tau_from_acf(rho[: n // 2 + 1], n)
         ideal = math.sqrt(2.0 * tau / n) * sd
         params[name] = ParamSummary(mean, sd, se, 2.0 * tau, 2.0 * tau_err, se / ideal)

@@ -242,6 +242,7 @@ def test_collinear_warm_up_is_a_numerical_failure(tmp_path, capsys, monkeypatch)
     assert code == 4
     assert "DegenerateCovarianceError: covariance is not positive definite" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_moments_that_overflow_are_a_numerical_failure(tmp_path, capsys):
@@ -386,6 +387,8 @@ def test_run_flags_set_every_chain_config_field(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ("--nu", "inf"),
+    ("--nu", "1e308"),
+    ("--nu", "1e7"),
     ("--nic-points", "1"),
     ("--nic-min", "3", "--nic-max", "-3"),
     ("--sigma1-sq", "inf"),
@@ -399,8 +402,8 @@ def test_run_flags_set_every_chain_config_field(monkeypatch, tmp_path):
     ("--nic-min=-inf",),
     ("--burn-in", "0"),
     ("--update-interval", "0"),
-], ids=["infinite-nu", "one-nic-point", "reversed-nic-grid", "infinite-sigma1-sq", "zero-sigma1-sq",
-        "negative-freeze-after", "negative-seed", "one-state-pool", "rank-deficient-qgarch-pool",
+], ids=["infinite-nu", "overflowing-nu", "nu-above-ceiling", "one-nic-point", "reversed-nic-grid",
+        "infinite-sigma1-sq", "zero-sigma1-sq", "negative-freeze-after", "negative-seed", "one-state-pool", "rank-deficient-qgarch-pool",
         "rank-deficient-garch-pool", "infinite-nic-max", "infinite-nic-min",
         "no-burn-in", "no-update-interval"])
 def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys, flags):
@@ -410,6 +413,21 @@ def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys
     assert code == 3
     assert "DomainError" in capsys.readouterr().err  # a read attempt would raise FileNotFoundError
     assert not out.exists()
+
+
+def test_out_dir_under_a_file_is_a_data_error_before_the_fit(tmp_path, capsys, monkeypatch):
+    import garchmc.cli as cli
+
+    def never(config, returns):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(cli, "run_adaptive", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                 "--out-dir", str(blocker / "o"), *RUN_FLAGS])
+    assert code == 3
+    assert f"{blocker} is not a writable directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [(), ("--sigma1-sq", "1")], ids=["default-sigma1-sq", "given-sigma1-sq"])

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 
 from garchmc import (
     ChainResult,
@@ -16,7 +15,6 @@ from garchmc import (
     jackknife_se,
     summarize,
 )
-from garchmc.diagnostics import _fft_length
 
 
 def naive_acf(x, max_lag):
@@ -60,16 +58,13 @@ def test_acf_lag_zero_is_one_exactly():
         assert acf(rng.standard_normal(n), max_lag=min(20, n - 1))[0] == 1.0
 
 
-def test_acf_matches_direct_summation():
+# Only N = 500 has a 5-smooth 2N; 499, 170 and the prime 1009 do not, and
+# each pads to a power of two above 2N.
+@pytest.mark.parametrize("n", [500, 499, 170, 1009])
+def test_acf_matches_direct_summation(n):
     rng = np.random.default_rng(2)
-    x = rng.standard_normal(500).cumsum()  # strongly correlated series
+    x = rng.standard_normal(n).cumsum()  # strongly correlated series
     np.testing.assert_allclose(acf(x, 20), naive_acf(x, 20), rtol=1e-9, atol=1e-12)
-
-
-def test_fft_length_is_scipy_next_fast_len():
-    # acf pads to scipy's fast length; a power of two would move the ACF's last bits.
-    for n in [*range(1, 5001), 7919, 65_537, 200_000, 999_999, 1_048_577, 2_000_000]:
-        assert _fft_length(n) == next_fast_len(n, real=True), n
 
 
 def test_acf_white_noise_band():
@@ -229,3 +224,8 @@ def test_summarize_acf_table_to_last_lag_with_nan_for_a_constant_column():
     np.testing.assert_array_equal(report.acf[:, 0], acf(samples[:, 0], 149))
     np.testing.assert_array_equal(report.acf[:, 2], acf(samples[:, 2], 149))
     assert np.isnan(report.acf[:, 1]).all()
+    # The one ACF summarize shares with the table gives the public tau_int.
+    for name, col in (("a", samples[:, 0]), ("b", samples[:, 2])):
+        tau, tau_err = integrated_autocorr_time(col)
+        assert report.params[name].two_tau_int == 2.0 * tau
+        assert report.params[name].two_tau_int_error == 2.0 * tau_err
