@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import logging
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,9 +29,15 @@ from .proposal import NU_MAX
 from .sampler import ChainConfig, ChainResult, run_adaptive
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated `chunks` to `path` through a temporary file that then replaces it.
+
+    A reader never sees half a file, and only one chunk need be held in
+    memory at a time.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -42,18 +49,14 @@ def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> None:
     """Header line, then one line per row of the 2-D `table` with every cell at 17 significant digits.
 
     The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",",
-    comments="")`.  Each block of rows is formatted by one `%` operation and
-    written to a temporary file that then replaces `path`, so the whole file
-    text is never held in memory and a reader never sees half a file.
+    comments="")`.  Each block of rows is formatted by one `%` operation
+    and streamed to `_atomic_write`, so the whole file text is never held
+    in memory.
     """
-    tmp = path.with_name(path.name + ".tmp")
     row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            f.write(row_format * len(block) % tuple(block.ravel().tolist()))
-    os.replace(tmp, path)
+    blocks = (table[start : start + _CSV_BLOCK_ROWS] for start in range(0, len(table), _CSV_BLOCK_ROWS))
+    rows = (row_format * len(block) % tuple(block.ravel().tolist()) for block in blocks)
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows))
 
 
 def _write_samples_csv(path: Path, result: ChainResult) -> None:
@@ -71,7 +74,7 @@ def _write_acceptance_csv(path: Path, result: ChainResult) -> None:
 
 def _write_moments_json(path: Path, result: ChainResult, nu: float) -> None:
     payload = {"nu": nu, "snapshots": [vars(s) for s in result.moment_trace]}
-    _atomic_write(path, json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"])
 
 
 def write_news_impact_csv(path: Path, params: model.ModelParams, grid: Sequence[float]) -> None:
@@ -123,8 +126,8 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     posterior_mean = model.ModelParams(**means, kind=config.kind)
     grid = np.linspace(args.nic_min, args.nic_max, args.nic_points)
 
-    _atomic_write(out / "summary.json", json.dumps(report.to_dict(), indent=2) + "\n")
-    _atomic_write(out / "summary.txt", report.to_text())
+    _atomic_write(out / "summary.json", [json.dumps(report.to_dict(), indent=2) + "\n"])
+    _atomic_write(out / "summary.txt", [report.to_text()])
     _write_acf_csv(out / "acf.csv", report, result.param_names)
     write_news_impact_csv(out / "nic.csv", posterior_mean, grid)
     return report

@@ -48,7 +48,8 @@ def acf(series, max_lag: int) -> np.ndarray:
 
     ACF(t) = [1/N * sum_j (x_j - xbar)(x_{j+t} - xbar)] / sigma_x^2 with
     the sum over the N-t overlapping pairs and sigma_x^2 the full-series
-    variance, so ACF(0) == 1.
+    variance, so ACF(0) == 1.  A NaN or infinite entry is a DomainError
+    naming the first one.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -56,6 +57,9 @@ def acf(series, max_lag: int) -> np.ndarray:
     n = x.size
     if max_lag < 1 or max_lag >= n:
         raise DomainError(f"need series length > max_lag >= 1, got N={n}, max_lag={max_lag}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"series must be finite, got x[{bad[0]}] = {x[bad[0]]}")
     if np.all(x == x[0]):
         raise DegenerateSeriesError("constant series has no autocorrelation function")
     centered = x - x.mean()
@@ -201,11 +205,12 @@ def summarize(result, returns) -> SummaryReport:
         if np.all(col == col[0]):
             params[name] = ParamSummary(float(col[0]), 0.0, 0.0, math.nan, math.nan, math.nan)
             continue
+        # One ACF serves tau_int (lags 0..n // 2) and the table; it comes
+        # first, so a non-finite draw is its DomainError, before any warning.
+        rho = acf(col, max(n // 2, len(acfs) - 1))
         mean = float(col.mean())
         sd = float(col.std(ddof=1))
         se = jackknife_se(col)
-        # One ACF serves tau_int (lags 0..n // 2) and the table.
-        rho = acf(col, max(n // 2, len(acfs) - 1))
         tau, tau_err = _tau_from_acf(rho[: n // 2 + 1], n)
         ideal = math.sqrt(2.0 * tau / n) * sd
         params[name] = ParamSummary(mean, sd, se, 2.0 * tau, 2.0 * tau_err, se / ideal)

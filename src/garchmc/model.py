@@ -101,18 +101,18 @@ def _load_sigtools():
 
     Importing it by name first runs `scipy.signal`'s package init, which
     imports most of scipy (about a second); the compiled module needs none
-    of it, so it is loaded by path.  If `scipy.signal` is imported later,
-    it finds this very module.
+    of it, so it is found in scipy's `signal` directory alone.  `import
+    scipy` stays, since scipy's own init locates the shared libraries it
+    bundles on some platforms.  If `scipy.signal` is imported later, it
+    finds this very module.
     """
     directory = Path(scipy.__file__).parent / "signal"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = directory / f"_sigtools{suffix}"
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location("scipy.signal._sigtools", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"scipy's compiled _sigtools module is missing from {directory}")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.signal._sigtools", [str(directory)])
+    if spec is None:
+        raise ImportError(f"scipy's compiled _sigtools module is missing from {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 _linear_filter = _load_sigtools()._linear_filter

@@ -157,8 +157,8 @@ def mh_step(
     current: np.ndarray,
     rng: np.random.Generator,
     *,
-    current_log_target: float | None = None,
-    current_log_proposal: float | None = None,
+    current_log_target: float,
+    current_log_proposal: float,
 ) -> MHStep:
     """One independence Metropolis-Hastings transition.
 
@@ -167,20 +167,20 @@ def mh_step(
 
         min[1, P(theta') / P(theta) * g(theta) / g(theta')].
 
-    A candidate with -inf target is always rejected.  Passing the cached
-    log densities of the current state avoids re-evaluating them.
+    A candidate with -inf target is always rejected.  The current state's
+    log target and log proposal density are passed in, cached from the
+    step that reached it, and the returned `MHStep` carries the next
+    state's.
     """
-    lt_cur = target(current) if current_log_target is None else current_log_target
-    lg_cur = proposal.log_density(current) if current_log_proposal is None else current_log_proposal
     candidate = proposal.draw(rng)
     lt_new = target(candidate)
     if lt_new == -math.inf:
-        return MHStep(current, False, lt_cur, lg_cur)
+        return MHStep(current, False, current_log_target, current_log_proposal)
     lg_new = proposal.log_density(candidate)
-    log_accept = (lt_new - lt_cur) + (lg_cur - lg_new)
+    log_accept = (lt_new - current_log_target) + (current_log_proposal - lg_new)
     if log_accept >= 0.0 or rng.random() < math.exp(log_accept):
         return MHStep(candidate, True, lt_new, lg_new)
-    return MHStep(current, False, lt_cur, lg_cur)
+    return MHStep(current, False, current_log_target, current_log_proposal)
 
 
 def run_adaptive(config: ChainConfig, returns) -> ChainResult:
@@ -201,28 +201,33 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     names = config.kind.param_names
     p = len(names)
 
-    warm_seed, mh_seed = np.random.SeedSequence(config.seed).spawn(2)
-    pool = metropolis_warmup(
-        target,
-        theta0,
-        config.initial_pool,
-        config.burn_in,
-        np.random.default_rng(warm_seed),
-    )
-
     # Pool and adaptive draws share one buffer, so each re-fit reads every
     # draw so far from one slice.  Column-major: each parameter's history
     # is contiguous, the layout `estimate_moments` copies the slice into.
+    # It is allocated first, so a schedule too long to hold fails before
+    # the warm-up.
     n_pool, total, interval = config.initial_pool, config.total_samples, config.update_interval
-    store = np.empty((n_pool + total, p), order="F")
-    store[:n_pool] = pool
+    try:
+        store = np.empty((n_pool + total, p), order="F")
+    except (MemoryError, ValueError) as exc:  # ValueError: the size overflows numpy's index type
+        n_bytes = 8 * p * (n_pool + total)
+        raise DomainError(f"total_samples = {total} needs {n_bytes} bytes, more than can be allocated") from exc
+
+    warm_seed, mh_seed = np.random.SeedSequence(config.seed).spawn(2)
+    store[:n_pool] = metropolis_warmup(
+        target,
+        theta0,
+        n_pool,
+        config.burn_in,
+        np.random.default_rng(warm_seed),
+    )
 
     moments = estimate_moments(store[:n_pool])
     proposal = build_proposal(moments, config.nu)
     trace = [MomentSnapshot(0, moments.mean, moments.second_central, proposal.sigma)]
 
     rng = np.random.default_rng(mh_seed)
-    x = pool[-1].copy()
+    x = store[n_pool - 1].copy()
     lt = target(x)
     lg = proposal.log_density(x)
     acceptance: list[float] = []

@@ -98,8 +98,8 @@ def test_simulate_negative_seed_is_data_error(tmp_path, capsys):
 
 def test_run_emits_all_output_files(tmp_path):
     out = run_dir(tmp_path, simulate_file(tmp_path))
-    for name in REPORT_FILES:
-        assert (out / name).exists(), name
+    # Exactly the report files: every temporary file was renamed into place.
+    assert sorted(path.name for path in out.iterdir()) == sorted(REPORT_FILES)
 
     header, rows = read_csv(out / "samples.csv")
     assert header == ["omega", "alpha", "beta", "gamma"]
@@ -349,6 +349,21 @@ def test_too_few_samples_is_data_error_before_the_fit(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_samples_too_many_to_hold_are_a_data_error_before_the_warm_up(tmp_path, capsys, monkeypatch):
+    import garchmc.sampler as sampler
+
+    def never(*args):
+        raise AssertionError("the warm-up ran")
+
+    monkeypatch.setattr(sampler, "metropolis_warmup", never)
+    out = tmp_path / "o"
+    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                 "--out-dir", str(out), *RUN_FLAGS, "--samples", str(10**17)])
+    assert code == 3
+    assert f"DomainError: total_samples = {10**17} needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def run_config(monkeypatch, tmp_path, *flags):
     """The `ChainConfig` that `garchmc run` hands to the sampler for `flags`."""
     import garchmc.cli as cli
@@ -478,8 +493,8 @@ def test_chain_that_never_moves_writes_every_report(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_adaptive", stuck)
     out = run_dir(tmp_path, simulate_file(tmp_path))
-    for name in REPORT_FILES:
-        assert (out / name).exists(), name
+    # Exactly the report files: every temporary file was renamed into place.
+    assert sorted(path.name for path in out.iterdir()) == sorted(REPORT_FILES)
     header, rows = read_csv(out / "acf.csv")
     assert header == ["lag", "omega", "alpha", "beta", "gamma"]
     assert len(rows) == 201 and all(np.isnan(row[1:]).all() for row in rows)

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +97,20 @@ def test_acf_errors():
         acf(np.arange(10.0), 0)
     with pytest.raises(DomainError):
         acf(np.arange(10.0), 10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "plus-inf", "minus-inf"])
+def test_acf_names_the_first_non_finite_draw(bad):
+    # A non-finite draw is the input's fault, not the mixing's: acf and the
+    # two routines built on it name it, before numpy can warn about it.
+    x = np.random.default_rng(15).standard_normal(200)
+    x[[37, 90]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: acf(x, 20), lambda: integrated_autocorr_time(x),
+                     lambda: summarize(fake_chain(x), ReturnSeries(np.array([0.1, -0.2])))):
+            with pytest.raises(DomainError, match=re.escape(f"x[37] = {bad}")):
+                call()
 
 
 def test_tau_int_iid_is_half():

@@ -1,9 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import types
 from pathlib import Path
+
+import pytest
 
 import garchmc
 
@@ -45,3 +48,14 @@ def test_cli_import_loads_only_scipys_compiled_recurrence():
         [sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_sigtools_loader_names_a_directory_without_it(tmp_path, monkeypatch):
+    import garchmc.model as model
+
+    # A stand-in scipy package whose signal directory holds no compiled module.
+    (tmp_path / "signal").mkdir()
+    (tmp_path / "signal" / "_sigtools.txt").write_text("")
+    monkeypatch.setattr(model, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    with pytest.raises(ImportError, match=re.escape(f"missing from {tmp_path / 'signal'}")):
+        model._load_sigtools()

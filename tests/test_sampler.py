@@ -80,10 +80,11 @@ def test_mh_step_always_accepts_when_target_equals_proposal():
     prop = build_proposal(MomentEstimate(np.array([0.5, -0.5]), np.eye(2)), nu=6.0)
     rng = np.random.default_rng(21)
     x = prop.mean.copy()
+    lg = prop.log_density(x)
     for _ in range(500):
-        step = mh_step(prop.log_density, prop, x, rng)
+        step = mh_step(prop.log_density, prop, x, rng, current_log_target=lg, current_log_proposal=lg)
         assert step.accepted
-        x = step.theta
+        x, lg = step.theta, step.log_proposal
 
 
 def test_mh_step_rejects_off_support_candidates():
@@ -93,7 +94,7 @@ def test_mh_step_rejects_off_support_candidates():
     rng = np.random.default_rng(22)
     x = current
     for _ in range(200):
-        step = mh_step(target, prop, x, rng, current_log_target=0.0)
+        step = mh_step(target, prop, x, rng, current_log_target=0.0, current_log_proposal=prop.log_density(x))
         assert not step.accepted
         assert step.theta is x or np.array_equal(step.theta, current)
         x = step.theta
@@ -121,7 +122,8 @@ def test_mh_step_hand_ratio_above_one_always_accepts():
     stub = _StubProposal([1.0], log_g_candidate=0.5, log_g_current=-0.5)
     target = lambda v: 2.0 if v[0] == 1.0 else 0.0
     for seed in range(30):
-        step = mh_step(target, stub, np.array([0.0]), np.random.default_rng(seed))
+        step = mh_step(target, stub, np.array([0.0]), np.random.default_rng(seed),
+                       current_log_target=0.0, current_log_proposal=-0.5)
         assert step.accepted
         assert step.theta[0] == 1.0
 
@@ -131,7 +133,7 @@ def test_mh_step_caches_match_fresh_evaluation():
     prop = build_proposal(MomentEstimate(mu, 1.5 * cov), nu=8.0)
     rng = np.random.default_rng(30)
     x = mu.copy()
-    step = mh_step(target, prop, x, rng)
+    step = mh_step(target, prop, x, rng, current_log_target=target(x), current_log_proposal=prop.log_density(x))
     assert step.log_target == target(step.theta)
     assert step.log_proposal == prop.log_density(step.theta)
 
@@ -250,6 +252,20 @@ def test_run_adaptive_matches_quadrature_posterior():
     samples = run_adaptive(config, returns).samples
     se = np.array([jackknife_se(column) for column in samples.T])
     assert np.all(np.abs(samples.mean(axis=0) - mean) <= 3.0 * se)
+
+
+# 10**17 draws of four parameters are 3.2 EB, beyond any address space, so
+# numpy's allocation fails; at 10**19 the byte count overflows numpy's index.
+@pytest.mark.parametrize("total", [10**17, 10**19], ids=["memory-error", "index-overflow"])
+def test_run_adaptive_too_long_to_hold_fails_before_the_warm_up(monkeypatch, total):
+    import garchmc.sampler as sampler
+
+    def never(*args):
+        raise AssertionError("the warm-up ran")
+
+    monkeypatch.setattr(sampler, "metropolis_warmup", never)
+    with pytest.raises(DomainError, match=f"total_samples = {total} needs {32 * (total + 200)} bytes"):
+        run_adaptive(small_config(total_samples=total), small_returns())
 
 
 def test_chain_config_validation():
