@@ -106,6 +106,9 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
         raise DomainError(f"news-impact grid needs finite min < max, got [{args.nic_min}, {args.nic_max}]")
     if args.nic_points < 2:
         raise DomainError(f"news-impact grid needs at least 2 points, got {args.nic_points}")
+    # Built now, so a grid numpy cannot allocate fails before the input is read.
+    grid = model.allocate((args.nic_points,), f"news-impact grid of {args.nic_points} points")
+    grid[:] = np.linspace(args.nic_min, args.nic_max, args.nic_points)
 
     returns = _load_input(args)
     out = args.out_dir
@@ -124,7 +127,6 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     report = diagnostics.summarize(result, returns)
     means = {name: report.params[name].mean for name in result.param_names}
     posterior_mean = model.ModelParams(**means, kind=config.kind)
-    grid = np.linspace(args.nic_min, args.nic_max, args.nic_points)
 
     _atomic_write(out / "summary.json", [json.dumps(report.to_dict(), indent=2) + "\n"])
     _atomic_write(out / "summary.txt", [report.to_text()])

@@ -136,12 +136,21 @@ def _variance_tail(
     return tail
 
 
+def allocate(shape: tuple[int, ...], what: str, order: str = "C") -> np.ndarray:
+    """`np.empty(shape)` of floats, or a DomainError naming `what` and the bytes if numpy cannot allocate it."""
+    try:
+        return np.empty(shape, order=order)
+    except (MemoryError, ValueError) as exc:  # ValueError: the size overflows numpy's index type
+        raise DomainError(f"{what} needs {8 * math.prod(shape)} bytes, more than can be allocated") from exc
+
+
 def simulate_qgarch(params: ModelParams, n: int, sigma1_sq: float, seed: int) -> ReturnSeries:
     """Draw a synthetic return series from the model.
 
     Generates eps_t ~ N(0,1), runs the variance recursion from
     sigma2_1 = sigma1_sq, and sets y_t = sigma_t * eps_t.  Deterministic
-    for a fixed seed, which must be >= 0.
+    for a fixed seed, which must be >= 0.  An `n` whose series numpy
+    cannot allocate is a DomainError.
     """
     if not params.in_support:
         raise DomainError(f"parameters outside the model support: {params}")
@@ -150,12 +159,12 @@ def simulate_qgarch(params: ModelParams, n: int, sigma1_sq: float, seed: int) ->
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     check_sigma1_sq(sigma1_sq)
-    eps = np.random.default_rng(seed).standard_normal(n)
-    y = np.empty(n)
+    # eps_1..eps_n, each scaled in place into y_t below.
+    y = np.random.default_rng(seed).standard_normal(out=allocate((n,), f"n = {n}"))
     sig = sigma1_sq
     omega, alpha, beta, gamma = params.omega, params.alpha, params.beta, params.gamma
     for t in range(n):
-        y[t] = math.sqrt(sig) * eps[t]
+        y[t] = math.sqrt(sig) * y[t]
         sig = omega + gamma * y[t] + alpha * y[t] * y[t] + beta * sig
     return ReturnSeries(values=y)
 

@@ -207,11 +207,7 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     # It is allocated first, so a schedule too long to hold fails before
     # the warm-up.
     n_pool, total, interval = config.initial_pool, config.total_samples, config.update_interval
-    try:
-        store = np.empty((n_pool + total, p), order="F")
-    except (MemoryError, ValueError) as exc:  # ValueError: the size overflows numpy's index type
-        n_bytes = 8 * p * (n_pool + total)
-        raise DomainError(f"total_samples = {total} needs {n_bytes} bytes, more than can be allocated") from exc
+    store = model.allocate((n_pool + total, p), f"total_samples = {total}", order="F")
 
     warm_seed, mh_seed = np.random.SeedSequence(config.seed).spawn(2)
     store[:n_pool] = metropolis_warmup(

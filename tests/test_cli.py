@@ -96,6 +96,16 @@ def test_simulate_negative_seed_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [10**15, 2**63], ids=["too-many-to-hold", "past-numpy-index"])
+def test_simulate_length_numpy_cannot_allocate_is_a_data_error(tmp_path, capsys, n):
+    out = tmp_path / "returns.csv"
+    code = main(["simulate", "--omega", "0.1", "--alpha", "0.1", "--beta", "0.8", "--n", str(n),
+                 "--out", str(out)])
+    assert code == 3
+    assert f"DomainError: n = {n} needs {8 * n} bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_emits_all_output_files(tmp_path):
     out = run_dir(tmp_path, simulate_file(tmp_path))
     # Exactly the report files: every temporary file was renamed into place.
@@ -259,6 +269,7 @@ def test_moments_that_overflow_are_a_numerical_failure(tmp_path, capsys):
     assert code == 4
     assert "DegenerateCovarianceError: moments are not finite" in capsys.readouterr().err
     assert not caught
+    assert not (tmp_path / "o").exists()
 
 
 def test_write_csv_golden_bytes(tmp_path):
@@ -417,10 +428,13 @@ def test_run_flags_set_every_chain_config_field(monkeypatch, tmp_path):
     ("--nic-min=-inf",),
     ("--burn-in", "0"),
     ("--update-interval", "0"),
+    # numpy refuses these grids outright (8 PB, and a length past its index type).
+    ("--nic-points", str(10**15)),
+    ("--nic-points", str(2**63)),
 ], ids=["infinite-nu", "overflowing-nu", "nu-above-ceiling", "one-nic-point", "reversed-nic-grid",
         "infinite-sigma1-sq", "zero-sigma1-sq", "negative-freeze-after", "negative-seed", "one-state-pool", "rank-deficient-qgarch-pool",
         "rank-deficient-garch-pool", "infinite-nic-max", "infinite-nic-min",
-        "no-burn-in", "no-update-interval"])
+        "no-burn-in", "no-update-interval", "nic-points-too-many-to-hold", "nic-points-past-numpy-index"])
 def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys, flags):
     out = tmp_path / "o"
     code = main(["run", "--input", str(tmp_path / "never-read.csv"), "--input-kind", "returns",
