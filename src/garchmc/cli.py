@@ -125,13 +125,12 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     _write_moments_json(out / "moments.json", result, config.nu)
 
     report = diagnostics.summarize(result, returns)
-    means = {name: report.params[name].mean for name in result.param_names}
-    posterior_mean = model.ModelParams(**means, kind=config.kind)
-
     _atomic_write(out / "summary.json", [json.dumps(report.to_dict(), indent=2) + "\n"])
     _atomic_write(out / "summary.txt", [report.to_text()])
     _write_acf_csv(out / "acf.csv", report, result.param_names)
-    write_news_impact_csv(out / "nic.csv", posterior_mean, grid)
+    # Built last: a posterior mean off the support fails here, after the summary is written.
+    means = {name: report.params[name].mean for name in result.param_names}
+    write_news_impact_csv(out / "nic.csv", model.ModelParams(**means, kind=config.kind), grid)
     return report
 
 

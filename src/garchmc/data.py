@@ -20,6 +20,7 @@ __all__ = [
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Union
@@ -92,10 +93,16 @@ def _parse_float(cell: str) -> float | None:
         return None
 
 
+# A column index is an optionally signed run of decimal digits, as `int`
+# reads it without underscores; any other spec, "²" or "+-1" among them, is
+# a header name.
+_INDEX = re.compile(r"\s*[+-]?\d+\s*")
+
+
 def _resolve_column(rows: list[list[str]], column: Union[str, int]) -> tuple[int, int]:
     """Return (column index, first data row index), skipping a header row."""
     first = rows[0]
-    if isinstance(column, str) and not column.strip().lstrip("+-").isdigit():
+    if isinstance(column, str) and not _INDEX.fullmatch(column):
         header = [cell.strip() for cell in first]
         if column not in header:
             raise ParseError(f"column {column!r} not found in header {header}")

@@ -59,12 +59,13 @@ _FREE_PARAMS = {
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameter vector theta = (omega, alpha, beta, gamma).
+    """Parameter vector theta = (omega, alpha, beta, gamma), inside the model support.
 
-    `in_support` encodes the flat prior's domain: positivity of omega,
-    non-negativity of alpha and beta, covariance stationarity
-    (alpha + beta < 1), and gamma**2 <= 4 * alpha * omega.  The last
-    condition keeps the quadratic omega + gamma*y + alpha*y**2
+    Construction raises DomainError off the flat prior's domain:
+    positivity of omega, non-negativity of alpha and beta, covariance
+    stationarity (alpha + beta < 1), gamma**2 <= 4 * alpha * omega, and
+    gamma == 0 for the GARCH kind.  NaN fails every one of these.  The
+    gamma bound keeps the quadratic omega + gamma*y + alpha*y**2
     non-negative for every real y, so the variance recursion stays
     positive no matter what returns it sees.
     """
@@ -75,11 +76,10 @@ class ModelParams:
     gamma: float = 0.0
     kind: ModelKind = ModelKind.QGARCH
 
-    @property
-    def in_support(self) -> bool:
-        if self.kind is ModelKind.GARCH and self.gamma != 0.0:
-            return False
-        return _in_support(self.omega, self.alpha, self.beta, self.gamma)
+    def __post_init__(self):
+        gamma_allowed = self.kind is ModelKind.QGARCH or self.gamma == 0.0
+        if not (gamma_allowed and _in_support(self.omega, self.alpha, self.beta, self.gamma)):
+            raise DomainError(f"parameters outside the model support: {self}")
 
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in self.kind.param_names])
@@ -149,11 +149,10 @@ def simulate_qgarch(params: ModelParams, n: int, sigma1_sq: float, seed: int) ->
 
     Generates eps_t ~ N(0,1), runs the variance recursion from
     sigma2_1 = sigma1_sq, and sets y_t = sigma_t * eps_t.  Deterministic
-    for a fixed seed, which must be >= 0.  An `n` whose series numpy
-    cannot allocate is a DomainError.
+    for a fixed seed, which must be >= 0.  `params` lies in the support
+    by construction.  An `n` whose series numpy cannot allocate, and a
+    variance path that overflows a float, are each a DomainError.
     """
-    if not params.in_support:
-        raise DomainError(f"parameters outside the model support: {params}")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if seed < 0:
@@ -163,9 +162,13 @@ def simulate_qgarch(params: ModelParams, n: int, sigma1_sq: float, seed: int) ->
     y = np.random.default_rng(seed).standard_normal(out=allocate((n,), f"n = {n}"))
     sig = sigma1_sq
     omega, alpha, beta, gamma = params.omega, params.alpha, params.beta, params.gamma
-    for t in range(n):
-        y[t] = math.sqrt(sig) * y[t]
-        sig = omega + gamma * y[t] + alpha * y[t] * y[t] + beta * sig
+    # The path may overflow; it is then rejected by name below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n):
+            y[t] = math.sqrt(sig) * y[t]
+            sig = omega + gamma * y[t] + alpha * y[t] * y[t] + beta * sig
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"the variance path overflows a float from initial variance {sigma1_sq} with {params}")
     return ReturnSeries(values=y)
 
 
@@ -209,7 +212,7 @@ def volatility_path(
     Parameters
     ----------
     params : ModelParams
-        Must lie in the prior support.
+        In the prior support by construction.
     returns : ReturnSeries
         Observations y_1..y_n.
     sigma1_sq : float, optional
@@ -221,8 +224,6 @@ def volatility_path(
         sigma2_1..sigma2_n, aligned with the returns: sigma1_sq first, then
         the recursion above.
     """
-    if not params.in_support:
-        raise DomainError(f"parameters outside the model support: {params}")
     y_sq = _squares(returns)
     s1 = _resolve_sigma1_sq(returns, sigma1_sq)
     # The path may overflow; it is then rejected by name below.
@@ -241,9 +242,10 @@ def volatility_path(
 def log_likelihood(
     params: ModelParams, returns: ReturnSeries, sigma1_sq: float | None = None
 ) -> float:
-    """Gaussian log-likelihood -0.5 * sum[ln(2 pi sigma2_t) + y_t^2 / sigma2_t]."""
-    if not params.in_support:
-        raise DomainError(f"parameters outside the model support: {params}")
+    """Gaussian log-likelihood -0.5 * sum[ln(2 pi sigma2_t) + y_t^2 / sigma2_t].
+
+    `params` lies in the support by construction.
+    """
     # Evaluated through the sampler's posterior closure, so the two agree
     # bit for bit on the support (the flat prior adds nothing).
     return log_posterior_fn(returns, params.kind, sigma1_sq)(params.as_vector())
@@ -290,11 +292,8 @@ def log_posterior_fn(
 
 
 def unconditional_variance(params: ModelParams) -> float:
-    """Stationary variance omega / (1 - alpha - beta)."""
-    persistence = params.alpha + params.beta
-    if not persistence < 1.0:
-        raise DomainError(f"alpha + beta = {persistence} has no stationary variance")
-    return params.omega / (1.0 - persistence)
+    """Stationary variance omega / (1 - alpha - beta), positive on the model support."""
+    return params.omega / (1.0 - (params.alpha + params.beta))
 
 
 def news_impact_curve(params: ModelParams, grid: Sequence[float]) -> np.ndarray:

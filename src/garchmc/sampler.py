@@ -207,7 +207,7 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     # It is allocated first, so a schedule too long to hold fails before
     # the warm-up.
     n_pool, total, interval = config.initial_pool, config.total_samples, config.update_interval
-    store = model.allocate((n_pool + total, p), f"total_samples = {total}", order="F")
+    store = model.allocate((n_pool + total, p), f"initial_pool = {n_pool} plus total_samples = {total}", order="F")
 
     warm_seed, mh_seed = np.random.SeedSequence(config.seed).spawn(2)
     store[:n_pool] = metropolis_warmup(

@@ -87,6 +87,15 @@ def test_simulate_rejects_off_support(tmp_path):
     assert code == 3
 
 
+def test_simulate_variance_overflow_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "returns.csv"
+    code = main(["simulate", "--omega", "0.06", "--alpha", "0.07", "--beta", "0.89", "--n", "50",
+                 "--sigma1-sq", "1.7e308", "--seed", "3", "--out", str(out)])
+    assert code == 3
+    assert "DomainError: the variance path overflows a float from initial variance 1.7e+308" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_negative_seed_is_data_error(tmp_path, capsys):
     out = tmp_path / "returns.csv"
     code = main(["simulate", "--omega", "0.1", "--alpha", "0.1", "--beta", "0.8", "--n", "10",
@@ -371,7 +380,25 @@ def test_samples_too_many_to_hold_are_a_data_error_before_the_warm_up(tmp_path, 
     code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
                  "--out-dir", str(out), *RUN_FLAGS, "--samples", str(10**17)])
     assert code == 3
-    assert f"DomainError: total_samples = {10**17} needs" in capsys.readouterr().err
+    assert f"DomainError: initial_pool = 200 plus total_samples = {10**17} needs {32 * (10**17 + 200)} bytes" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_initial_pool_too_large_to_hold_is_named_before_the_warm_up(tmp_path, capsys, monkeypatch):
+    import garchmc.sampler as sampler
+
+    def never(*args):
+        raise AssertionError("the warm-up ran")
+
+    monkeypatch.setattr(sampler, "metropolis_warmup", never)
+    out = tmp_path / "o"
+    pool = 10**15
+    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                 "--out-dir", str(out), *RUN_FLAGS, "--initial-pool", str(pool)])
+    assert code == 3
+    assert f"DomainError: initial_pool = {pool} plus total_samples = 600 needs {32 * (pool + 600)} bytes" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -490,10 +517,8 @@ def test_diagnostics_failure_keeps_the_chain(tmp_path, capsys, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
-def test_chain_that_never_moves_writes_every_report(tmp_path, monkeypatch):
-    import garchmc.cli as cli
-
-    point = [0.06219, 0.07872, 0.89390, -0.12403]
+def stuck_at(point):
+    """A `run_adaptive` stand-in whose chain never moves from `point`."""
 
     def stuck(config, returns):
         # Every candidate rejected: all draws equal the last warm-up state.
@@ -505,7 +530,14 @@ def test_chain_that_never_moves_writes_every_report(tmp_path, monkeypatch):
             warmup_samples=np.tile(point, (config.initial_pool, 1)),
         )
 
-    monkeypatch.setattr(cli, "run_adaptive", stuck)
+    return stuck
+
+
+def test_chain_that_never_moves_writes_every_report(tmp_path, monkeypatch):
+    import garchmc.cli as cli
+
+    point = [0.06219, 0.07872, 0.89390, -0.12403]
+    monkeypatch.setattr(cli, "run_adaptive", stuck_at(point))
     out = run_dir(tmp_path, simulate_file(tmp_path))
     # Exactly the report files: every temporary file was renamed into place.
     assert sorted(path.name for path in out.iterdir()) == sorted(REPORT_FILES)
@@ -515,6 +547,19 @@ def test_chain_that_never_moves_writes_every_report(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert all(block["two_tau_int"] is None for block in summary["parameters"].values())
     assert [summary["parameters"][name]["mean"] for name in header[1:]] == point
+
+
+def test_posterior_mean_off_the_support_fails_after_the_summary(tmp_path, capsys, monkeypatch):
+    import garchmc.cli as cli
+
+    # alpha + beta = 1: no stationary variance, so no news impact curve.
+    monkeypatch.setattr(cli, "run_adaptive", stuck_at([0.1, 0.5, 0.5, 0.0]))
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                 "--out-dir", str(out), *RUN_FLAGS])
+    assert code == 3
+    assert "DomainError: parameters outside the model support" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == sorted(set(REPORT_FILES) - {"nic.csv"})
 
 
 def test_flat_prices_need_an_explicit_initial_variance(tmp_path, capsys):

@@ -117,6 +117,36 @@ def test_load_returns_header_only_insufficient():
         load_returns(io.StringIO("return\n"))
 
 
+# Each spec `int` reads without underscores is an index; any other is a header name.
+@pytest.mark.parametrize("column, result", [
+    ("0", [100.0, 101.0, 99.0]),
+    (" 0 ", [100.0, 101.0, 99.0]),
+    ("+0", [100.0, 101.0, 99.0]),
+    ("close", [100.0, 101.0, 99.0]),
+    ("2", "column index 2 out of range"),
+    ("-1", "column index -1 out of range"),
+    ("²", "column '²' not found in header"),
+    ("+-1", "column '\\+-1' not found in header"),
+    ("1_0", "column '1_0' not found in header"),
+])
+def test_load_prices_column_spec_from_every_source(tmp_path, column, result):
+    for kind, source in each_source(tmp_path, "close\n100\n101\n99\n").items():
+        if isinstance(result, str):
+            with pytest.raises(ParseError, match=result):
+                load_prices(source, column)
+        else:
+            np.testing.assert_array_equal(load_prices(source, column).prices, result, err_msg=kind)
+
+
+def test_run_column_spec_that_is_no_index_names_a_header(tmp_path, capsys):
+    path = tmp_path / "prices.csv"
+    path.write_text("close\n100\n101\n99\n102\n")
+    out = tmp_path / "o"
+    assert main(["run", "--input", str(path), "--column=+-1", "--out-dir", str(out)]) == 3
+    assert "ParseError: column '+-1' not found in header ['close']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_prices_missing_column_name():
     with pytest.raises(ParseError, match="close"):
         load_prices(io.StringIO("date,price\n2001,100\n2002,101\n"), column="close")
@@ -198,6 +228,8 @@ def test_simulate_rejects_bad_input():
         simulate_qgarch(params, 100, math.inf, seed=0)
     with pytest.raises(DomainError):
         simulate_qgarch(params, 100, 1.0, seed=-1)
+    with pytest.raises(DomainError, match="variance path overflows a float from initial variance 1.7e"):
+        simulate_qgarch(ModelParams(0.06, 0.07, 0.89), 50, 1.7e308, seed=3)
 
 
 def test_return_series_validates():

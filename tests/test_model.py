@@ -174,9 +174,8 @@ def test_log_posterior_off_support_is_minus_inf():
     assert fn(np.array([-0.1, 0.1, 0.5, 0.0])) == -math.inf
     # alpha + beta == 1 exactly is not covariance stationary
     assert log_posterior_fn(y, ModelKind.GARCH, 1.0)(np.array([0.1, 0.5, 0.5])) == -math.inf
-    # The GARCH vector form drops gamma, so only ModelParams can carry a
-    # nonzero one, and that lies off the GARCH support.
-    assert not ModelParams(0.1, 0.1, 0.5, 0.1, ModelKind.GARCH).in_support
+    with pytest.raises(DomainError, match="outside the model support"):
+        ModelParams(0.1, 0.1, 0.5, 0.1, ModelKind.GARCH)
 
 
 @pytest.mark.parametrize("sigma1_sq", [None, 1.0])

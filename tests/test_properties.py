@@ -1,4 +1,4 @@
-"""Property tests: the returns CSV round trip and the posterior closure.
+"""Property tests: the returns CSV round trip, the parameter support and the posterior closure.
 
 Examples are derived from the test names rather than a random seed, and no
 example database is kept, so every run tries the same examples.
@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from garchmc import ModelKind, ReturnSeries, load_returns, log_posterior_fn
+from garchmc import DomainError, ModelKind, ModelParams, ReturnSeries, load_returns, log_posterior_fn
 from garchmc.cli import _write_csv
 
 # When a property fails, Hypothesis imports libcst to write a patch of the
@@ -61,6 +61,50 @@ def test_closure_at_the_support_boundary_is_never_nan(k, sign, alpha, beta, othe
     logpost = log_posterior_fn(ReturnSeries(np.array(y)), ModelKind.QGARCH, 1.0)
     value = logpost(np.array([omega, alpha, beta, gamma]))
     assert value == -math.inf or math.isfinite(value)
+
+
+def satisfies_support(omega, alpha, beta, gamma, kind):
+    """The model support, restated inequality by inequality; NaN satisfies none of them."""
+    inequalities = [
+        omega > 0.0,
+        alpha >= 0.0,
+        beta >= 0.0,
+        alpha + beta < 1.0,
+        gamma * gamma <= 4.0 * alpha * omega,
+        kind is ModelKind.QGARCH or gamma == 0.0,
+    ]
+    return all(inequalities)
+
+
+@st.composite
+def boundary_points(draw):
+    """Exactly on gamma**2 = 4 * alpha * omega (inside), with beta at, below or past 1 - alpha."""
+    alpha = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    gamma = draw(st.integers(-64, 64)) / 16.0
+    omega = gamma * gamma / (4.0 * alpha)
+    assert gamma * gamma == 4.0 * alpha * omega
+    beta = draw(st.sampled_from([0.0, (1.0 - alpha) / 2.0, 1.0 - alpha, 1.0]))
+    return omega, alpha, beta, gamma
+
+
+# Any float (NaN, both infinities and both zeros among them), a float near
+# the support, or a point exactly on one of its boundaries.
+component = st.one_of(st.floats(), st.floats(-1.0, 1.0))
+points = st.one_of(st.tuples(component, component, component, component), boundary_points())
+
+
+@PROPERTY
+@given(points, st.sampled_from(ModelKind))
+@example((0.1, 0.5, 0.5, 0.0), ModelKind.QGARCH)  # alpha + beta = 1: excluded
+@example((0.25, 0.25, 0.5, -0.5), ModelKind.QGARCH)  # gamma**2 = 4 * alpha * omega: included
+@example((0.25, 0.25, 0.5, -0.5), ModelKind.GARCH)  # GARCH pins gamma at 0
+@example((0.1, 0.1, 0.8, -0.0), ModelKind.GARCH)
+def test_model_params_build_exactly_on_the_support(point, kind):
+    if satisfies_support(*point, kind):
+        assert ModelParams(*point, kind).as_vector().size == len(kind.param_names)
+    else:
+        with pytest.raises(DomainError, match="outside the model support"):
+            ModelParams(*point, kind)
 
 
 def naive_log_likelihood(omega, alpha, beta, gamma, y, sigma1_sq):

@@ -264,7 +264,7 @@ def test_run_adaptive_too_long_to_hold_fails_before_the_warm_up(monkeypatch, tot
         raise AssertionError("the warm-up ran")
 
     monkeypatch.setattr(sampler, "metropolis_warmup", never)
-    with pytest.raises(DomainError, match=f"total_samples = {total} needs {32 * (total + 200)} bytes"):
+    with pytest.raises(DomainError, match=f"initial_pool = 200 plus total_samples = {total} needs {32 * (total + 200)} bytes"):
         run_adaptive(small_config(total_samples=total), small_returns())
 
 
