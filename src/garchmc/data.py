@@ -162,7 +162,18 @@ def to_returns(prices: PriceSeries) -> ReturnSeries:
     """Transform prices to demeaned percent log returns.
 
     Output length is len(prices) - 1 and the sample mean is zero up to
-    rounding.
+    rounding.  A price ratio that overflows a float, or underflows to zero,
+    is a DomainError naming the first such return.
     """
-    log_ratio = np.log(prices.prices[1:] / prices.prices[:-1])
+    p = prices.prices
+    # A ratio may overflow or reach zero; its return is then rejected by name below.
+    with np.errstate(over="ignore", divide="ignore"):
+        log_ratio = np.log(p[1:] / p[:-1])
+    bad = np.flatnonzero(~np.isfinite(log_ratio))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            f"return {i + 1} is not finite: price {i + 2} / price {i + 1} = {float(p[i + 1])!r} / {float(p[i])!r} "
+            "leaves a float's range"
+        )
     return ReturnSeries(values=100.0 * (log_ratio - log_ratio.mean()))

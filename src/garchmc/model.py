@@ -121,13 +121,29 @@ _linear_filter = _load_sigtools()._linear_filter
 _ONE = np.ones(1)
 
 
+def _drive_rows(y: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
+    """The C-contiguous (3, n-1) stack of rows (1, y_{t-1}^2, y_{t-1}) for t = 2..n, from y_t and y_t^2.
+
+    Built once per path or per posterior closure; `_variance_tail` forms
+    the variance drive as one product of a coefficient vector with it.
+    """
+    rows = allocate((3, y.size - 1), f"the variance drive rows of {y.size} returns")
+    rows[0], rows[1], rows[2] = 1.0, y_sq[:-1], y[:-1]
+    return rows
+
+
 def _variance_tail(
-    y_lag: np.ndarray, y_lag_sq: np.ndarray, omega: float, alpha: float, beta: float, gamma: float, s1: float
+    rows: np.ndarray, omega: float, alpha: float, beta: float, gamma: float, s1: float
 ) -> np.ndarray:
-    """sigma2_2..sigma2_n from y_1..y_{n-1}, their squares, and sigma2_1 = s1."""
-    # gamma * y_lag adds exactly zero to omega at gamma = 0 (the returns
-    # are finite), so skipping it changes no bit.
-    drive = alpha * y_lag_sq + omega if gamma == 0.0 else omega + gamma * y_lag + alpha * y_lag_sq
+    """sigma2_2..sigma2_n from the `_drive_rows` stack and sigma2_1 = s1."""
+    # The drive omega + alpha * y_lag^2 + gamma * y_lag is one product
+    # with the rows.  At gamma = 0 it leaves out the y_lag row, to which a
+    # zero coefficient adds nothing, so GARCH and QGARCH at gamma = 0 take
+    # the same product and agree bit for bit.
+    if gamma == 0.0:
+        drive = np.array((omega, alpha)).dot(rows[:2])
+    else:
+        drive = np.array((omega, alpha, gamma)).dot(rows)
     # sigma2_t = drive_t + beta * sigma2_{t-1} is a first-order linear
     # recurrence.  This is the compiled routine behind scipy.signal.lfilter
     # for this input, called without lfilter's per-call argument handling;
@@ -229,7 +245,7 @@ def volatility_path(
     # The path may overflow; it is then rejected by name below.
     with np.errstate(over="ignore", invalid="ignore"):
         tail = _variance_tail(
-            returns.values[:-1], y_sq[:-1], params.omega, params.alpha, params.beta, params.gamma, s1
+            _drive_rows(returns.values, y_sq), params.omega, params.alpha, params.beta, params.gamma, s1
         )
     sig = np.concatenate(([s1], tail))
     if not np.all(np.isfinite(sig)):
@@ -259,14 +275,14 @@ def log_posterior_fn(
     The closure returns the unnormalized flat-prior log-posterior, -inf
     outside the support, so Metropolis samplers reject off-support
     candidates without special-casing.  It is what the samplers hammer
-    on, so slices and constants are precomputed here instead of per call.
+    on, so the drive rows and constants are precomputed here instead of
+    per call.
     """
-    y = returns.values
     y_sq = _squares(returns)
     s1 = _resolve_sigma1_sq(returns, sigma1_sq)
-    y_lag, y_lag_sq, y_sq_tail = y[:-1], y_sq[:-1], y_sq[1:]
+    rows, y_sq_tail = _drive_rows(returns.values, y_sq), y_sq[1:]
     # The theta-free terms: n ln(2 pi) and the first return's ln s1 + y_1^2 / s1.
-    const = y.size * math.log(2.0 * math.pi) + math.log(s1) + float(y_sq[0]) / s1
+    const = len(returns) * math.log(2.0 * math.pi) + math.log(s1) + float(y_sq[0]) / s1
     dim = len(kind.param_names)
 
     # The variance path and the sum may overflow or divide by zero; the
@@ -282,8 +298,9 @@ def log_posterior_fn(
         gamma = values[3] if dim == 4 else 0.0
         if not _in_support(omega, alpha, beta, gamma):
             return -math.inf
-        sig_tail = _variance_tail(y_lag, y_lag_sq, omega, alpha, beta, gamma, s1)
-        ll = -0.5 * (const + np.log(sig_tail).sum() + (y_sq_tail / sig_tail).sum())
+        sig_tail = _variance_tail(rows, omega, alpha, beta, gamma, s1)
+        # np.add.reduce is the pairwise sum of ndarray.sum without its Python shim.
+        ll = -0.5 * (const + np.add.reduce(np.log(sig_tail)) + np.add.reduce(y_sq_tail / sig_tail))
         # Exact-boundary parameters can drive a variance to zero, which
         # shows up as inf/nan here; treat it as a rejection.
         return float(ll) if math.isfinite(ll) else -math.inf
@@ -292,8 +309,17 @@ def log_posterior_fn(
 
 
 def unconditional_variance(params: ModelParams) -> float:
-    """Stationary variance omega / (1 - alpha - beta), positive on the model support."""
-    return params.omega / (1.0 - (params.alpha + params.beta))
+    """Stationary variance omega / (1 - alpha - beta), positive on the model support.
+
+    It overflows a float for a large omega over a small 1 - alpha - beta;
+    that is a DomainError naming the ratio, not an inf.
+    """
+    # Python floats: the division overflows to inf without a warning.
+    omega, gap = float(params.omega), 1.0 - (float(params.alpha) + float(params.beta))
+    variance = omega / gap
+    if not math.isfinite(variance):
+        raise DomainError(f"stationary variance omega / (1 - alpha - beta) = {omega!r} / {gap!r} overflows a float")
+    return variance
 
 
 def news_impact_curve(params: ModelParams, grid: Sequence[float]) -> np.ndarray:
@@ -302,9 +328,15 @@ def news_impact_curve(params: ModelParams, grid: Sequence[float]) -> np.ndarray:
     The lagged variance is held at its stationary value, so the curve is
     sigma2(y) = omega + gamma*y + alpha*y**2 + beta * omega/(1-alpha-beta).
 
-    Returns an array of shape (len(grid), 2) with columns (y, sigma2).
+    Returns an array of shape (len(grid), 2) with columns (y, sigma2).  A
+    grid point whose variance is not finite is a DomainError naming it.
     """
     base = params.beta * unconditional_variance(params)
     y = np.asarray(grid, dtype=float)
-    sig = params.omega + params.gamma * y + params.alpha * y * y + base
+    # A large |y| may overflow; it is then rejected by name below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = params.omega + params.gamma * y + params.alpha * y * y + base
+    bad = np.flatnonzero(~np.isfinite(sig))
+    if bad.size:
+        raise DomainError(f"news impact curve is not finite at grid point {bad[0]}, y = {float(y[bad[0]])!r}")
     return np.column_stack([y, sig])

@@ -96,6 +96,21 @@ def test_simulate_variance_overflow_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_stationary_variance_overflow_names_the_ratio(tmp_path, capsys):
+    # No --sigma1-sq: the default omega / (1 - alpha - beta) is past the largest float.
+    out = tmp_path / "sim" / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--omega", "1e307", "--alpha", "0.5", "--beta", "0.49", "--n", "5",
+                     "--out", str(out)])
+    assert not caught
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "DomainError: stationary variance omega / (1 - alpha - beta) = 1e+307 / 0.01" in err
+    assert "initial variance" not in err
+    assert not out.parent.exists()
+
+
 def test_simulate_negative_seed_is_data_error(tmp_path, capsys):
     out = tmp_path / "returns.csv"
     code = main(["simulate", "--omega", "0.1", "--alpha", "0.1", "--beta", "0.8", "--n", "10",
@@ -559,6 +574,19 @@ def test_posterior_mean_off_the_support_fails_after_the_summary(tmp_path, capsys
                  "--out-dir", str(out), *RUN_FLAGS])
     assert code == 3
     assert "DomainError: parameters outside the model support" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == sorted(set(REPORT_FILES) - {"nic.csv"})
+
+
+def test_news_impact_grid_that_overflows_fails_after_the_summary(tmp_path, capsys):
+    # The grid's ends are finite, but alpha * y^2 at y = +-1e200 is not.
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                     "--out-dir", str(out), *RUN_FLAGS, "--nic-min=-1e200", "--nic-max=1e200"])
+    assert not caught
+    assert code == 3
+    assert "DomainError: news impact curve is not finite at grid point 0, y = -1e+200" in capsys.readouterr().err
     assert sorted(path.name for path in out.iterdir()) == sorted(set(REPORT_FILES) - {"nic.csv"})
 
 

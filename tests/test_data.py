@@ -1,5 +1,7 @@
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from garchmc import (
     InsufficientDataError,
     ModelParams,
     ParseError,
+    PriceSeries,
     ReturnSeries,
     load_prices,
     load_returns,
@@ -165,6 +168,35 @@ def test_to_returns_symmetric_round_trip():
     returns = to_returns(series)
     expected = 100.0 * math.log(1.1)
     np.testing.assert_allclose(returns.values, [expected, -expected], rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "prices, message",
+    [
+        ([1e-300, 1e300, 1.0, 2.0], "return 1 is not finite: price 2 / price 1 = 1e+300 / 1e-300"),
+        ([1.0, 1e300, 1e-300, 2.0], "return 2 is not finite: price 3 / price 2 = 1e-300 / 1e+300"),
+    ],
+    ids=["ratio-overflows", "ratio-underflows-to-zero"],
+)
+def test_to_returns_names_the_first_return_out_of_range(prices, message):
+    # Each price is finite and positive; one ratio is not a float.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            to_returns(PriceSeries(np.array(prices)))
+    assert not caught
+
+
+def test_run_prices_whose_ratio_overflows_exit_3_before_the_fit(tmp_path, capsys):
+    path = tmp_path / "prices.csv"
+    path.write_text("1e-300\n1e300\n1\n2\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--input", str(path), "--out-dir", str(out)]) == 3
+    assert not caught
+    assert "DomainError: return 1 is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_to_returns_zero_mean_and_length():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from garchmc import (
     unconditional_variance,
     volatility_path,
 )
-from garchmc.model import _variance_tail
+from garchmc.model import _drive_rows, _variance_tail
 
 # Posterior-mean fits typical of daily equity-index returns, used as
 # realistic test points throughout the suite.
@@ -221,13 +222,29 @@ def test_variance_kernel_matches_public_lfilter(n, beta, gamma):
     # The kernel calls scipy's compiled recurrence without lfilter's
     # wrapper; lfilter on the same drive must give the same bits.
     y = simulate_qgarch(NIKKEI, n, 1.0, seed=n).values
-    y_lag, y_lag_sq = y[:-1], y[:-1] * y[:-1]
+    rows = _drive_rows(y, y * y)
     omega, alpha, s1 = 0.06219, 0.07872, 1.3
-    drive = alpha * y_lag_sq + omega if gamma == 0.0 else omega + gamma * y_lag + alpha * y_lag_sq
+    coefficients = (omega, alpha) if gamma == 0.0 else (omega, alpha, gamma)
+    drive = np.array(coefficients).dot(rows[: len(coefficients)])
     want = lfilter([1.0], [1.0, -beta], drive, zi=[beta * s1])[0]
-    got = _variance_tail(y_lag, y_lag_sq, omega, alpha, beta, gamma, s1)
+    got = _variance_tail(rows, omega, alpha, beta, gamma, s1)
     assert got.shape == (n - 1,)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 250, 2700, 20000])
+@pytest.mark.parametrize("gamma", [0.0, -0.12403])
+def test_product_drive_matches_the_ufunc_expression(n, gamma):
+    # At beta = 0 the kernel returns its drive as it is, so this compares
+    # the product with the rows against omega + gamma*y + alpha*y^2 formed
+    # term by term; the two round differently, by an ulp or a few.
+    y = simulate_qgarch(NIKKEI, n, 1.0, seed=n).values
+    rows = _drive_rows(y, y * y)
+    assert rows.shape == (3, n - 1) and rows.flags.c_contiguous
+    y_lag = y[:-1]
+    want = NIKKEI.omega + gamma * y_lag + NIKKEI.alpha * (y_lag * y_lag)
+    got = _variance_tail(rows, NIKKEI.omega, NIKKEI.alpha, 0.0, gamma, 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_log_posterior_fn_rejects_wrong_dimension():
@@ -253,6 +270,32 @@ def test_unconditional_variance():
     assert expected == pytest.approx(2.2714, abs=5e-4)
     with pytest.raises(DomainError):
         unconditional_variance(ModelParams(1.0, 0.5, 0.5, 0.0))
+
+
+def test_unconditional_variance_that_overflows_names_the_ratio():
+    # Inside the support, but omega / (1 - alpha - beta) is past the largest float.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for params in (ModelParams(1e307, 0.5, 0.49), ModelParams(np.float64(1e307), np.float64(0.5), np.float64(0.49))):
+            with pytest.raises(DomainError, match=re.escape("omega / (1 - alpha - beta) = 1e+307 / 0.01")):
+                unconditional_variance(params)
+            with pytest.raises(DomainError, match="omega / \\(1 - alpha - beta\\)"):
+                news_impact_curve(params, [0.0])
+    assert not caught
+
+
+@pytest.mark.parametrize(
+    "grid, point",
+    [([0.0, 1.0, 1e200], "grid point 2, y = 1e+200"), ([-1e200, 0.0], "grid point 0, y = -1e+200"), ([0.0, math.inf], "grid point 1, y = inf")],
+    ids=["square-overflows", "square-overflows-below-zero", "infinite-point"],
+)
+def test_news_impact_curve_names_the_first_point_that_is_not_finite(grid, point):
+    # alpha * y^2 overflows (and at -1e200 meets gamma * y = +1e199 as inf).
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=re.escape(f"not finite at {point}")):
+            news_impact_curve(NIKKEI, grid)
+    assert not caught
 
 
 def test_news_impact_curve_symmetric_when_gamma_zero():

@@ -35,12 +35,12 @@ def test_cli_import_loads_only_scipys_compiled_recurrence():
         assert not loaded, loaded
         import numpy as np
         from scipy.signal import lfilter
-        from garchmc.model import _variance_tail
+        from garchmc.model import _drive_rows, _variance_tail
         y = np.random.default_rng(4).standard_normal(2700)
-        y_lag, y_lag_sq = y[:-1], y[:-1] * y[:-1]
-        drive = 0.06219 + -0.12403 * y_lag + 0.07872 * y_lag_sq
+        rows = _drive_rows(y, y * y)
+        drive = np.array((0.06219, 0.07872, -0.12403)).dot(rows)
         want = lfilter([1.0], [1.0, -0.8939], drive, zi=[0.8939 * 1.3])[0]
-        got = _variance_tail(y_lag, y_lag_sq, 0.06219, 0.07872, 0.8939, -0.12403, 1.3)
+        got = _variance_tail(rows, 0.06219, 0.07872, 0.8939, -0.12403, 1.3)
         assert np.array_equal(got, want)
         """
     )
