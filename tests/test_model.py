@@ -290,7 +290,7 @@ def test_unconditional_variance_that_overflows_names_the_ratio():
     ids=["square-overflows", "square-overflows-below-zero", "infinite-point"],
 )
 def test_news_impact_curve_names_the_first_point_that_is_not_finite(grid, point):
-    # alpha * y^2 overflows (and at -1e200 meets gamma * y = +1e199 as inf).
+    # alpha * y^2 overflows at |y| = 1e200, and an infinite y gives an infinite variance.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DomainError, match=re.escape(f"not finite at {point}")):
