@@ -35,10 +35,10 @@ from .errors import (
 )
 
 WINDOW_FACTOR = 6.0
-DEFAULT_JACKKNIFE_BLOCKS = 50
-# Shortest chain `summarize` takes: two draws per default jackknife block,
-# which is also the least `integrated_autocorr_time` accepts.
-MIN_SAMPLES = 2 * DEFAULT_JACKKNIFE_BLOCKS
+JACKKNIFE_BLOCKS = 50
+# Shortest chain `summarize` takes: two draws per jackknife block, which is
+# also the least `integrated_autocorr_time` accepts.
+MIN_SAMPLES = 2 * JACKKNIFE_BLOCKS
 # Longest lag of the ACF table `summarize` reports.
 ACF_MAX_LAG = 200
 
@@ -105,24 +105,22 @@ def _tau_from_acf(rho: np.ndarray, n: int) -> tuple[float, float]:
     return tau, error
 
 
-def jackknife_se(series, n_blocks: int = DEFAULT_JACKKNIFE_BLOCKS) -> float:
+def jackknife_se(series) -> float:
     """Leave-one-block-out jackknife error of the series mean.
 
-    Splits the series into `n_blocks` contiguous blocks (trailing
-    remainder dropped) and returns
+    Splits the series into B = JACKKNIFE_BLOCKS contiguous blocks
+    (trailing remainder dropped) and returns
     sqrt((B-1)/B * sum_b (m_b - mean(m))^2) over the leave-one-out means.
     """
     x = np.asarray(series, dtype=float)
-    if n_blocks < 2:
-        raise DomainError(f"need at least 2 blocks, got {n_blocks}")
-    if x.size < 2 * n_blocks:
-        raise DomainError(f"need at least 2 samples per block, got {x.size} for {n_blocks} blocks")
-    block = x.size // n_blocks
-    trimmed = x[: n_blocks * block].reshape(n_blocks, block)
+    if x.size < MIN_SAMPLES:
+        raise DomainError(f"need at least 2 samples per block, got {x.size} for {JACKKNIFE_BLOCKS} blocks")
+    block = x.size // JACKKNIFE_BLOCKS
+    trimmed = x[: JACKKNIFE_BLOCKS * block].reshape(JACKKNIFE_BLOCKS, block)
     total = trimmed.sum()
     loo_means = (total - trimmed.sum(axis=1)) / (trimmed.size - block)
     dev = loo_means - loo_means.mean()
-    return math.sqrt((n_blocks - 1) / n_blocks * float(dev @ dev))
+    return math.sqrt((JACKKNIFE_BLOCKS - 1) / JACKKNIFE_BLOCKS * float(dev @ dev))
 
 
 @dataclass(frozen=True)
@@ -193,11 +191,12 @@ def summarize(result, returns) -> SummaryReport:
     near 1), and its ACF up to lag min(ACF_MAX_LAG, N - 1).  A constant
     column reports its value as the mean (the float average of identical
     values can be off by an ulp), zero spread and NaN mixing stats and ACF.
+    A chain of fewer than MIN_SAMPLES draws is an InsufficientDataError.
     """
     samples = np.asarray(result.samples, dtype=float)
-    if samples.size == 0:
-        raise InsufficientDataError("chain holds no samples")
     n = samples.shape[0]
+    if n < MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {MIN_SAMPLES} samples to summarize a chain, got {n}")
     acfs = np.full((min(ACF_MAX_LAG + 1, n), samples.shape[1]), np.nan)
     params: dict[str, ParamSummary] = {}
     for j, name in enumerate(result.param_names):

@@ -137,13 +137,9 @@ def _variance_tail(
 ) -> np.ndarray:
     """sigma2_2..sigma2_n from the `_drive_rows` stack and sigma2_1 = s1."""
     # The drive omega + alpha * y_lag^2 + gamma * y_lag is one product
-    # with the rows.  At gamma = 0 it leaves out the y_lag row, to which a
-    # zero coefficient adds nothing, so GARCH and QGARCH at gamma = 0 take
+    # with the rows at every gamma, so GARCH and QGARCH at gamma = 0 take
     # the same product and agree bit for bit.
-    if gamma == 0.0:
-        drive = np.array((omega, alpha)).dot(rows[:2])
-    else:
-        drive = np.array((omega, alpha, gamma)).dot(rows)
+    drive = np.array((omega, alpha, gamma)).dot(rows)
     # sigma2_t = drive_t + beta * sigma2_{t-1} is a first-order linear
     # recurrence.  This is the compiled routine behind scipy.signal.lfilter
     # for this input, called without lfilter's per-call argument handling;
@@ -198,26 +194,27 @@ def check_sigma1_sq(sigma1_sq: float, name: str = "initial variance") -> None:
         raise DomainError(f"{name} must be finite and positive, got {sigma1_sq}")
 
 
-def _squares(returns: ReturnSeries) -> np.ndarray:
-    """y_t^2 for every return; DomainError, not an overflow warning, if their sum is not finite."""
+def _bind(returns: ReturnSeries, sigma1_sq: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The `_drive_rows` stack, y_t^2 and the initial variance of a return series.
+
+    The returns' squares must have a finite sum (a DomainError, not an
+    overflow warning, otherwise); they are checked before the initial
+    variance, which defaults to the sample variance of the returns.
+    """
     with np.errstate(over="ignore"):
         y_sq = returns.values * returns.values
         square_sum = y_sq.sum()
     if not math.isfinite(square_sum):
         raise DomainError(f"returns must have a finite sum of squares, got {square_sum}")
-    return y_sq
-
-
-def _resolve_sigma1_sq(returns: ReturnSeries, sigma1_sq: float | None) -> float:
-    """The given initial variance, or by default the sample variance of the returns."""
     if sigma1_sq is None:
         if len(returns) < 2:
             raise InsufficientDataError("need at least 2 returns to default the initial variance")
         s1 = float(np.var(returns.values, ddof=1))
         check_sigma1_sq(s1, "default initial variance (the sample variance; set --sigma1-sq)")
-        return s1
-    check_sigma1_sq(sigma1_sq)
-    return float(sigma1_sq)
+    else:
+        check_sigma1_sq(sigma1_sq)
+        s1 = float(sigma1_sq)
+    return _drive_rows(returns.values, y_sq), y_sq, s1
 
 
 def volatility_path(
@@ -240,13 +237,10 @@ def volatility_path(
         sigma2_1..sigma2_n, aligned with the returns: sigma1_sq first, then
         the recursion above.
     """
-    y_sq = _squares(returns)
-    s1 = _resolve_sigma1_sq(returns, sigma1_sq)
+    rows, _, s1 = _bind(returns, sigma1_sq)
     # The path may overflow; it is then rejected by name below.
     with np.errstate(over="ignore", invalid="ignore"):
-        tail = _variance_tail(
-            _drive_rows(returns.values, y_sq), params.omega, params.alpha, params.beta, params.gamma, s1
-        )
+        tail = _variance_tail(rows, params.omega, params.alpha, params.beta, params.gamma, s1)
     sig = np.concatenate(([s1], tail))
     if not np.all(np.isfinite(sig)):
         raise DomainError("conditional variance path is not finite; the variances overflow a float")
@@ -278,9 +272,8 @@ def log_posterior_fn(
     on, so the drive rows and constants are precomputed here instead of
     per call.
     """
-    y_sq = _squares(returns)
-    s1 = _resolve_sigma1_sq(returns, sigma1_sq)
-    rows, y_sq_tail = _drive_rows(returns.values, y_sq), y_sq[1:]
+    rows, y_sq, s1 = _bind(returns, sigma1_sq)
+    y_sq_tail = y_sq[1:]
     # The theta-free terms: n ln(2 pi) and the first return's ln s1 + y_1^2 / s1.
     const = len(returns) * math.log(2.0 * math.pi) + math.log(s1) + float(y_sq[0]) / s1
     dim = len(kind.param_names)

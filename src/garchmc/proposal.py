@@ -128,9 +128,10 @@ def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
 
     Sigma = (nu-2)/nu * V matches the proposal's covariance to V.  The
     proposal keeps Sigma's Cholesky factor L and L^{-1}, through which
-    `log_density` evaluates the quadratic form.  Non-finite moments, and a
-    Sigma that does not factor (early-chain draws can be collinear), are a
-    DegenerateCovarianceError.
+    `log_density` evaluates the quadratic form.  V must be exactly
+    symmetric, or it is a DomainError naming the largest asymmetry.
+    Non-finite moments, and a Sigma that does not factor (early-chain draws
+    can be collinear), are a DegenerateCovarianceError.
     """
     check_nu(nu)
     v = np.asarray(moments.second_central, dtype=float)
@@ -146,11 +147,8 @@ def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
             f"moments are not finite (mean {mean.tolist()}, variances {np.diag(v).tolist()}): "
             "draws this large overflow their squares"
         )
-    asym = np.max(np.abs(v - v.T))
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
-        raise DomainError(f"second moment is not symmetric (max asymmetry {asym:.3e})")
-    v = (v + v.T) / 2.0
-
+    if not np.array_equal(v, v.T):
+        raise DomainError(f"second moment is not symmetric (max asymmetry {np.max(np.abs(v - v.T)):.3e})")
     sigma = (nu - 2.0) / nu * v
     try:
         chol = np.linalg.cholesky(sigma)

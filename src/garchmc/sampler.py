@@ -92,7 +92,6 @@ class ChainResult:
     param_names: tuple[str, ...]
     acceptance_trace: np.ndarray
     moment_trace: list[MomentSnapshot]
-    warmup_samples: np.ndarray
 
 
 class MHStep(NamedTuple):
@@ -260,5 +259,4 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
         param_names=names,
         acceptance_trace=np.asarray(acceptance),
         moment_trace=trace,
-        warmup_samples=store[:n_pool],
     )

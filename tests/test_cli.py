@@ -542,7 +542,6 @@ def stuck_at(point):
             param_names=config.kind.param_names,
             acceptance_trace=np.zeros(config.total_samples // config.update_interval),
             moment_trace=[],
-            warmup_samples=np.tile(point, (config.initial_pool, 1)),
         )
 
     return stuck

@@ -17,6 +17,7 @@ from garchmc import (
     jackknife_se,
     summarize,
 )
+from garchmc.diagnostics import MIN_SAMPLES
 
 
 def naive_acf(x, max_lag):
@@ -50,7 +51,6 @@ def fake_chain(samples, names=("theta",), acceptance=(0.8, 0.8)):
         param_names=tuple(names),
         acceptance_trace=np.asarray(acceptance, dtype=float),
         moment_trace=[],
-        warmup_samples=np.empty((0, samples.shape[1])),
     )
 
 
@@ -147,13 +147,13 @@ def test_tau_int_errors():
 
 
 def test_jackknife_constant_series():
-    assert jackknife_se(np.full(200, 2.5), 10) == 0.0
+    assert jackknife_se(np.full(200, 2.5)) == 0.0
 
 
 def test_jackknife_iid_matches_naive_se():
     rng = np.random.default_rng(10)
     x = rng.standard_normal(100_000)
-    se = jackknife_se(x, 50)
+    se = jackknife_se(x)
     naive = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(se / naive - 1.0) < 0.2
 
@@ -161,16 +161,14 @@ def test_jackknife_iid_matches_naive_se():
 def test_jackknife_shift_and_scale():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(1000)
-    base = jackknife_se(x, 20)
-    assert jackknife_se(x + 17.3, 20) == pytest.approx(base, rel=1e-9)
-    assert jackknife_se(3.5 * x, 20) == pytest.approx(3.5 * base, rel=1e-12)
+    base = jackknife_se(x)
+    assert jackknife_se(x + 17.3) == pytest.approx(base, rel=1e-9)
+    assert jackknife_se(3.5 * x) == pytest.approx(3.5 * base, rel=1e-12)
 
 
 def test_jackknife_errors():
-    with pytest.raises(DomainError):
-        jackknife_se(np.arange(100.0), 1)
-    with pytest.raises(DomainError):
-        jackknife_se(np.arange(30.0), 20)
+    with pytest.raises(DomainError, match="got 99 for 50 blocks"):
+        jackknife_se(np.arange(99.0))
 
 
 def test_summarize_constant_chain():
@@ -188,6 +186,14 @@ def test_summarize_constant_chain():
 def test_summarize_anti_correlated_chain_is_numerical_error():
     with pytest.raises(NonConvergenceError):
         summarize(fake_chain(np.tile([0.0, 1.0], 500)), ReturnSeries(np.array([0.1, -0.2])))
+
+
+@pytest.mark.parametrize("n", [0, 50, MIN_SAMPLES - 1])
+def test_summarize_names_a_chain_shorter_than_min_samples(n):
+    # The error counts draws, not the jackknife blocks the caller never chose.
+    x = np.random.default_rng(18).standard_normal(n)
+    with pytest.raises(InsufficientDataError, match=f"need at least {MIN_SAMPLES} samples .*, got {n}$"):
+        summarize(fake_chain(x), ReturnSeries(np.array([0.1, -0.2])))
 
 
 def test_summarize_iid_pseudo_chain():

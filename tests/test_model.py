@@ -224,8 +224,7 @@ def test_variance_kernel_matches_public_lfilter(n, beta, gamma):
     y = simulate_qgarch(NIKKEI, n, 1.0, seed=n).values
     rows = _drive_rows(y, y * y)
     omega, alpha, s1 = 0.06219, 0.07872, 1.3
-    coefficients = (omega, alpha) if gamma == 0.0 else (omega, alpha, gamma)
-    drive = np.array(coefficients).dot(rows[: len(coefficients)])
+    drive = np.array((omega, alpha, gamma)).dot(rows)
     want = lfilter([1.0], [1.0, -beta], drive, zi=[beta * s1])[0]
     got = _variance_tail(rows, omega, alpha, beta, gamma, s1)
     assert got.shape == (n - 1,)
@@ -245,6 +244,21 @@ def test_product_drive_matches_the_ufunc_expression(n, gamma):
     want = NIKKEI.omega + gamma * y_lag + NIKKEI.alpha * (y_lag * y_lag)
     got = _variance_tail(rows, NIKKEI.omega, NIKKEI.alpha, 0.0, gamma, 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 2700])
+@pytest.mark.parametrize(
+    "params", [NIKKEI, ModelParams(0.03004, 0.09198, 0.89564, 0.0, ModelKind.GARCH)], ids=["qgarch", "garch"]
+)
+def test_simulated_returns_over_kernel_volatility_are_the_seeded_innovations(params, n):
+    # The simulator's scalar recursion and the likelihood's kernel are two
+    # codings of one model: dividing the simulated returns by the kernel's
+    # volatility along them gives back the simulator's N(0, 1) draws.
+    s1, seed = 1.7, 42 + n
+    returns = simulate_qgarch(params, n, s1, seed)
+    eps = returns.values / np.sqrt(volatility_path(params, returns, s1))
+    want = np.random.default_rng(seed).standard_normal(n)
+    np.testing.assert_allclose(eps, want, rtol=1e-12, atol=0.0)
 
 
 def test_log_posterior_fn_rejects_wrong_dimension():

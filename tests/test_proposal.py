@@ -144,6 +144,9 @@ def test_near_singular_log_density_peaks_at_the_mean():
 def test_build_proposal_rejects_bad_input():
     with pytest.raises(DomainError):
         build_proposal(MomentEstimate(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]])), nu=10.0)
+    # One ulp off symmetric is refused too, not averaged with its transpose.
+    with pytest.raises(DomainError, match=r"not symmetric \(max asymmetry 1\.110e-16\)"):
+        build_proposal(MomentEstimate(np.zeros(2), np.array([[1.0, 0.5], [0.5 + 1e-16, 1.0]])), nu=10.0)
     with pytest.raises(DomainError):
         build_proposal(MomentEstimate(np.zeros(2), np.eye(2)), nu=2.0)
     with pytest.raises(DomainError):

@@ -158,7 +158,6 @@ def test_run_adaptive_shapes_and_traces():
     result = run_adaptive(small_config(), small_returns())
     assert result.samples.shape == (600, 4)
     assert result.param_names == ("omega", "alpha", "beta", "gamma")
-    assert result.warmup_samples.shape == (200, 4)
     assert result.acceptance_trace.shape == (6,)
     assert np.all(result.acceptance_trace >= 0.0) and np.all(result.acceptance_trace <= 1.0)
     # snapshot at t=0 plus one per full window
