@@ -16,6 +16,8 @@ from scipy.integrate import quad
 import garchmc as g
 from garchmc.cli import write_news_impact_csv
 
+import reference
+
 # Reference QGARCH fits for three equity indexes (omega, alpha, beta, gamma).
 REFERENCE_FITS = {
     "nikkei225": g.ModelParams(0.06219, 0.07872, 0.89390, -0.12403),
@@ -148,14 +150,7 @@ def test_criterion_5_proposal_correctness():
 
 
 def test_criterion_6_mh_correctness_oracle():
-    mu = np.array([1.0, -2.0])
-    cov = np.array([[1.0, 0.3], [0.3, 0.5]])
-    precision = np.linalg.inv(cov)
-
-    def target(v):
-        d = v - mu
-        return -0.5 * float(d @ precision @ d)
-
+    mu, cov, target = reference.gaussian_2d()
     prop = g.build_proposal(g.MomentEstimate(np.array([0.9, -1.9]), 1.3 * cov), nu=8.0)
     rng = np.random.default_rng(11)
     x = mu.copy()
@@ -179,27 +174,15 @@ def test_criterion_6_mh_correctness_oracle():
 
 
 def test_criterion_7_likelihood_oracle():
-    def naive(omega, alpha, beta, gamma, y, s1):
-        sig = s1
-        total = 0.0
-        for t in range(len(y)):
-            if t > 0:
-                sig = omega + gamma * y[t - 1] + alpha * y[t - 1] ** 2 + beta * sig
-            total += math.log(2.0 * math.pi * sig) + y[t] ** 2 / sig
-        return -0.5 * total
-
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(100):
-        omega = rng.uniform(0.01, 2.0)
-        alpha = rng.uniform(0.0, 0.8)
-        beta = rng.uniform(0.0, 0.99 - alpha)
-        gamma = rng.uniform(-0.95, 0.95) * 2.0 * math.sqrt(alpha * omega)
-        params = g.ModelParams(omega, alpha, beta, gamma)
+        theta = reference.support_point(rng)
+        params = g.ModelParams(*theta)
         y = rng.standard_normal(int(rng.integers(5, 60))) * rng.uniform(0.5, 2.0)
         s1 = rng.uniform(0.2, 3.0)
         got = g.log_likelihood(params, g.ReturnSeries(y), s1)
-        want = naive(omega, alpha, beta, gamma, y, s1)
+        (want,), _ = reference.log_likelihood([theta], y, s1)
         worst = max(worst, abs(got - want) / abs(want))
     check(7, "log-likelihood matches direct summation to 1e-12 relative",
           worst <= 1e-12, f"worst rel err={worst:.2e}")
@@ -232,14 +215,7 @@ def test_criterion_8_news_impact_curve(tmp_path):
 
 def test_criterion_9_diagnostics_oracles():
     rho = 0.5
-    n = 100_000
-    rng = np.random.default_rng(1234)
-    e = rng.standard_normal(n + 200)
-    x = np.empty(n + 200)
-    x[0] = e[0]
-    for t in range(1, n + 200):
-        x[t] = rho * x[t - 1] + e[t]
-    x = x[200:]
+    x = reference.ar1(100_000, rho, seed=1234)
 
     acf_vals = g.acf(x, 5)
     acf_err = max(abs(acf_vals[t] - rho**t) for t in range(1, 6))

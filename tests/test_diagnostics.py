@@ -19,6 +19,8 @@ from garchmc import (
 )
 from garchmc.diagnostics import MIN_SAMPLES
 
+import reference
+
 
 def naive_acf(x, max_lag):
     """Direct-summation oracle: cov sums over overlapping pairs, divisor N."""
@@ -30,16 +32,6 @@ def naive_acf(x, max_lag):
     for t in range(max_lag + 1):
         out[t] = (centered[: n - t] * centered[t:]).sum() / n / var
     return out
-
-
-def ar1(n, rho, seed, warm=200):
-    rng = np.random.default_rng(seed)
-    e = rng.standard_normal(n + warm)
-    x = np.empty(n + warm)
-    x[0] = e[0]
-    for t in range(1, n + warm):
-        x[t] = rho * x[t - 1] + e[t]
-    return x[warm:]
 
 
 def fake_chain(samples, names=("theta",), acceptance=(0.8, 0.8)):
@@ -77,7 +69,7 @@ def test_acf_white_noise_band():
 
 
 def test_acf_ar1_matches_analytic():
-    x = ar1(100_000, 0.5, seed=4)
+    x = reference.ar1(100_000, 0.5, seed=4)
     rho = acf(x, 5)
     for t in range(1, 6):
         assert abs(rho[t] - 0.5**t) < 0.02
@@ -122,12 +114,12 @@ def test_tau_int_iid_is_half():
 
 def test_tau_int_ar1_analytic():
     # tau = 1/2 + sum rho^t = 1/2 + rho/(1-rho) = 1.5 at rho = 0.5.
-    tau, _ = integrated_autocorr_time(ar1(100_000, 0.5, seed=7))
+    tau, _ = integrated_autocorr_time(reference.ar1(100_000, 0.5, seed=7))
     assert abs(2.0 * tau - 3.0) / 3.0 < 0.10
 
 
 def test_tau_int_shuffled_chain_is_unity():
-    x = ar1(50_000, 0.8, seed=8)
+    x = reference.ar1(50_000, 0.8, seed=8)
     shuffled = np.random.default_rng(9).permutation(x)
     tau, _ = integrated_autocorr_time(shuffled)
     assert 0.8 <= 2.0 * tau <= 1.2
@@ -240,7 +232,7 @@ def test_summary_text_holds_json_values_exactly():
 
 def test_summarize_acf_table_to_last_lag_with_nan_for_a_constant_column():
     rng = np.random.default_rng(16)
-    samples = np.column_stack([rng.standard_normal(150), np.full(150, 0.25), ar1(150, 0.5, seed=17)])
+    samples = np.column_stack([rng.standard_normal(150), np.full(150, 0.25), reference.ar1(150, 0.5, seed=17)])
     report = summarize(fake_chain(samples, names=("a", "fixed", "b")), ReturnSeries(np.array([0.0, 1.0])))
     assert report.acf.shape == (150, 3)
     np.testing.assert_array_equal(report.acf[:, 0], acf(samples[:, 0], 149))

@@ -20,6 +20,8 @@ from garchmc import (
 )
 from garchmc.model import _drive_rows, _variance_tail
 
+import reference
+
 # Posterior-mean fits typical of daily equity-index returns, used as
 # realistic test points throughout the suite.
 NIKKEI = ModelParams(0.06219, 0.07872, 0.89390, -0.12403, ModelKind.QGARCH)
@@ -27,27 +29,7 @@ NIKKEI = ModelParams(0.06219, 0.07872, 0.89390, -0.12403, ModelKind.QGARCH)
 
 def random_support_params(rng, kind=ModelKind.QGARCH):
     """Draw parameters uniformly from inside the prior support."""
-    omega = rng.uniform(0.01, 2.0)
-    alpha = rng.uniform(0.0, 0.8)
-    beta = rng.uniform(0.0, 0.99 - alpha)
-    if kind is ModelKind.GARCH:
-        return ModelParams(omega, alpha, beta, 0.0, kind)
-    gamma = rng.uniform(-0.95, 0.95) * 2.0 * math.sqrt(alpha * omega)
-    return ModelParams(omega, alpha, beta, gamma, kind)
-
-
-def naive_variance_path(omega, alpha, beta, gamma, y, sigma1_sq):
-    """The variance recursion, one step at a time."""
-    sig = [sigma1_sq]
-    for t in range(1, len(y)):
-        sig.append(omega + gamma * y[t - 1] + alpha * y[t - 1] ** 2 + beta * sig[-1])
-    return sig
-
-
-def naive_log_likelihood(omega, alpha, beta, gamma, y, sigma1_sq):
-    """Direct summation of the Gaussian terms along the naive variance path."""
-    sig = naive_variance_path(omega, alpha, beta, gamma, y, sigma1_sq)
-    return -0.5 * sum(math.log(2.0 * math.pi * s) + yt**2 / s for yt, s in zip(y, sig))
+    return ModelParams(*reference.support_point(rng, gamma=kind is ModelKind.QGARCH), kind)
 
 
 def test_volatility_path_constant_case():
@@ -119,11 +101,11 @@ def test_log_likelihood_matches_naive_oracle():
         s1 = rng.uniform(0.2, 3.0)
         theta = (params.omega, params.alpha, params.beta, params.gamma)
         got = log_likelihood(params, ReturnSeries(y), s1)
-        want = naive_log_likelihood(*theta, y, s1)
+        (want,), _ = reference.log_likelihood([theta], y, s1)
         assert abs(got - want) <= 1e-12 * abs(want)
         path = volatility_path(params, ReturnSeries(y), s1)
         assert path.shape == (n,)
-        np.testing.assert_allclose(path, naive_variance_path(*theta, y, s1), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(path, reference.variance_path(theta, y, s1), rtol=1e-12, atol=0.0)
 
 
 def test_garch_is_qgarch_with_gamma_zero():
@@ -163,7 +145,7 @@ def test_log_posterior_equals_likelihood_on_support():
     fn = log_posterior_fn(ReturnSeries(y), ModelKind.QGARCH, 1.0)
     for _ in range(10):
         params = random_support_params(rng)
-        want = naive_log_likelihood(params.omega, params.alpha, params.beta, params.gamma, y, 1.0)
+        (want,), _ = reference.log_likelihood([params.as_vector()], y, 1.0)
         assert abs(fn(params.as_vector()) - want) <= 1e-12 * abs(want)
 
 

@@ -17,6 +17,8 @@ from hypothesis.extra.numpy import arrays
 from garchmc import DomainError, ModelKind, ModelParams, ReturnSeries, load_returns, log_posterior_fn
 from garchmc.cli import _write_csv
 
+import reference
+
 # When a property fails, Hypothesis imports libcst to write a patch of the
 # failing example, and that import warns; as an error it would hide the report.
 pytestmark = pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
@@ -63,19 +65,6 @@ def test_closure_at_the_support_boundary_is_never_nan(k, sign, alpha, beta, othe
     assert value == -math.inf or math.isfinite(value)
 
 
-def satisfies_support(omega, alpha, beta, gamma, kind):
-    """The model support, restated inequality by inequality; NaN satisfies none of them."""
-    inequalities = [
-        omega > 0.0,
-        alpha >= 0.0,
-        beta >= 0.0,
-        alpha + beta < 1.0,
-        gamma * gamma <= 4.0 * alpha * omega,
-        kind is ModelKind.QGARCH or gamma == 0.0,
-    ]
-    return all(inequalities)
-
-
 @st.composite
 def boundary_points(draw):
     """Exactly on gamma**2 = 4 * alpha * omega (inside), with beta at, below or past 1 - alpha."""
@@ -100,24 +89,11 @@ points = st.one_of(st.tuples(component, component, component, component), bounda
 @example((0.25, 0.25, 0.5, -0.5), ModelKind.GARCH)  # GARCH pins gamma at 0
 @example((0.1, 0.1, 0.8, -0.0), ModelKind.GARCH)
 def test_model_params_build_exactly_on_the_support(point, kind):
-    if satisfies_support(*point, kind):
+    if reference.in_support(point)[0] and (kind is ModelKind.QGARCH or point[3] == 0.0):
         assert ModelParams(*point, kind).as_vector().size == len(kind.param_names)
     else:
         with pytest.raises(DomainError, match="outside the model support"):
             ModelParams(*point, kind)
-
-
-def naive_log_likelihood(omega, alpha, beta, gamma, y, sigma1_sq):
-    """The Gaussian terms along the variance recursion, one step at a time.
-
-    Returns the sum and the sum of the terms' magnitudes.
-    """
-    terms, sig = [], sigma1_sq
-    for t, yt in enumerate(y):
-        if t:
-            sig = omega + gamma * y[t - 1] + alpha * y[t - 1] ** 2 + beta * sig
-        terms.append(-0.5 * (math.log(2.0 * math.pi * sig) + yt * yt / sig))
-    return math.fsum(terms), math.fsum(map(abs, terms))
 
 
 @PROPERTY
@@ -135,6 +111,6 @@ def test_closure_matches_naive_recursion(omega, alpha, beta_frac, gamma_frac, y,
     got = log_posterior_fn(ReturnSeries(np.array(y)), ModelKind.QGARCH, sigma1_sq)(
         np.array([omega, alpha, beta, gamma])
     )
-    want, scale = naive_log_likelihood(omega, alpha, beta, gamma, y, sigma1_sq)
+    (want,), (scale,) = reference.log_likelihood([(omega, alpha, beta, gamma)], y, sigma1_sq)
     # Relative to the summed magnitudes: the sum itself can cancel to ~0.
     assert abs(got - want) <= 1e-12 * scale

@@ -17,6 +17,8 @@ from garchmc import (
     simulate_qgarch,
 )
 
+import reference
+
 TRUE = ModelParams(0.06219, 0.07872, 0.89390, -0.12403, ModelKind.QGARCH)
 
 
@@ -61,18 +63,6 @@ def test_warmup_deterministic():
 def test_warmup_rejects_infinite_start():
     with pytest.raises(DomainError):
         metropolis_warmup(lambda v: -math.inf, np.zeros(2), 10, 10, np.random.default_rng(0))
-
-
-def _gaussian_2d_target():
-    mu = np.array([1.0, -2.0])
-    cov = np.array([[1.0, 0.3], [0.3, 0.5]])
-    precision = np.linalg.inv(cov)
-
-    def target(v):
-        d = v - mu
-        return -0.5 * float(d @ precision @ d)
-
-    return mu, cov, target
 
 
 def test_mh_step_always_accepts_when_target_equals_proposal():
@@ -129,7 +119,7 @@ def test_mh_step_hand_ratio_above_one_always_accepts():
 
 
 def test_mh_step_caches_match_fresh_evaluation():
-    mu, cov, target = _gaussian_2d_target()
+    mu, cov, target = reference.gaussian_2d()
     prop = build_proposal(MomentEstimate(mu, 1.5 * cov), nu=8.0)
     rng = np.random.default_rng(30)
     x = mu.copy()
@@ -141,7 +131,7 @@ def test_mh_step_caches_match_fresh_evaluation():
 def test_independence_mh_recovers_gaussian_target():
     # Short-chain version of the full correctness oracle in the
     # acceptance suite.
-    mu, cov, target = _gaussian_2d_target()
+    mu, cov, target = reference.gaussian_2d()
     prop = build_proposal(MomentEstimate(np.array([0.9, -1.9]), 1.3 * cov), nu=8.0)
     rng = np.random.default_rng(31)
     x = mu.copy()
@@ -208,19 +198,6 @@ def test_run_adaptive_garch_kind_three_columns():
     assert result.param_names == ("omega", "alpha", "beta")
 
 
-def grid_log_likelihood(theta, y, sigma1_sq):
-    """GARCH(1,1) log-likelihood, up to a constant, at each (omega, alpha, beta) row; -inf off the support."""
-    omega, alpha, beta = theta.T
-    support = (omega > 0.0) & (alpha >= 0.0) & (beta >= 0.0) & (alpha + beta < 1.0)
-    sig = np.full(len(theta), sigma1_sq)
-    total = np.log(sig) + y[0] ** 2 / sig
-    with np.errstate(all="ignore"):  # off-support rows may go negative
-        for t in range(1, y.size):
-            sig = omega + alpha * y[t - 1] ** 2 + beta * sig
-            total += np.log(sig) + y[t] ** 2 / sig
-    return np.where(support, -0.5 * total, -np.inf)
-
-
 def grid_moments(theta, log_density):
     """Mean and covariance of the rows of theta weighted by exp(log_density)."""
     w = np.exp(log_density - log_density.max())
@@ -232,7 +209,7 @@ def grid_moments(theta, log_density):
 
 def test_run_adaptive_matches_quadrature_posterior():
     # Oracle: the flat-prior GARCH(1,1) posterior mean by a midpoint rule on
-    # the likelihood above.  A 40^3 box over the support places a 60^3 grid
+    # the reference likelihood.  A 40^3 box over the support places a 60^3 grid
     # along the posterior's axes, mean + L z with |z_i| <= 8 and L L' the
     # covariance; 80^3 and 100^3 grids move no mean by more than 0.006 posterior SD.
     returns = simulate_qgarch(ModelParams(0.1, 0.15, 0.8, 0.0, ModelKind.GARCH), 200, 2.0, seed=1)
@@ -240,11 +217,11 @@ def test_run_adaptive_matches_quadrature_posterior():
     s1 = float(np.var(y, ddof=1))
     u = (np.arange(40) + 0.5) / 40
     theta = np.stack(np.meshgrid(2.0 * s1 * u, u, u, indexing="ij"), axis=-1).reshape(-1, 3)
-    mean, cov = grid_moments(theta, grid_log_likelihood(theta, y, s1))
+    mean, cov = grid_moments(theta, reference.log_likelihood(theta, y, s1)[0])
     z = 8.0 * ((np.arange(60) + 0.5) / 30 - 1.0)
     z = np.stack(np.meshgrid(z, z, z, indexing="ij"), axis=-1).reshape(-1, 3)
     theta = mean + z @ np.linalg.cholesky(cov).T
-    mean, _ = grid_moments(theta, grid_log_likelihood(theta, y, s1))
+    mean, _ = grid_moments(theta, reference.log_likelihood(theta, y, s1)[0])
 
     config = ChainConfig(kind=ModelKind.GARCH, burn_in=1000, initial_pool=500, update_interval=500,
                          total_samples=20_000, seed=1, sigma1_sq=s1)
