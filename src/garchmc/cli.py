@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", required=True, type=Path, help="input CSV path")
     p_run.add_argument("--input-kind", choices=["prices", "returns"], default="prices")
     p_run.add_argument("--column", default="0", help="price/return column name or index")
-    p_run.add_argument("--model", dest="kind", choices=["garch", "qgarch"], default=ChainConfig.kind.value)
+    p_run.add_argument("--model", dest="kind", choices=[kind.value for kind in model.ModelKind], default=ChainConfig.kind.value)
     p_run.add_argument("--nu", type=float, default=ChainConfig.nu, help=f"proposal shape parameter, 2 < NU <= {NU_MAX:.0f}")
     p_run.add_argument("--burn-in", type=int, default=ChainConfig.burn_in)
     p_run.add_argument("--initial-pool", type=int, default=ChainConfig.initial_pool)

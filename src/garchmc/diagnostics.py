@@ -111,10 +111,11 @@ def jackknife_se(series) -> float:
     Splits the series into B = JACKKNIFE_BLOCKS contiguous blocks
     (trailing remainder dropped) and returns
     sqrt((B-1)/B * sum_b (m_b - mean(m))^2) over the leave-one-out means.
+    A series of fewer than MIN_SAMPLES draws is an InsufficientDataError.
     """
     x = np.asarray(series, dtype=float)
     if x.size < MIN_SAMPLES:
-        raise DomainError(f"need at least 2 samples per block, got {x.size} for {JACKKNIFE_BLOCKS} blocks")
+        raise InsufficientDataError(f"need at least {MIN_SAMPLES} samples for the jackknife, got {x.size}")
     block = x.size // JACKKNIFE_BLOCKS
     trimmed = x[: JACKKNIFE_BLOCKS * block].reshape(JACKKNIFE_BLOCKS, block)
     total = trimmed.sum()

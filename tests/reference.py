@@ -71,14 +71,14 @@ def support_point(rng, gamma=True):
     return omega, alpha, beta, rng.uniform(-0.95, 0.95) * 2.0 * math.sqrt(alpha * omega)
 
 
-def ar1(n, rho, seed, warm=200):
-    """n draws of x_t = rho x_{t-1} + e_t with standard normal e, after `warm` discarded ones."""
-    e = np.random.default_rng(seed).standard_normal(n + warm)
-    x = np.empty(n + warm)
+def ar1(n, rho, seed):
+    """n draws of x_t = rho x_{t-1} + e_t with standard normal e, after 200 discarded ones."""
+    e = np.random.default_rng(seed).standard_normal(n + 200)
+    x = np.empty(n + 200)
     x[0] = e[0]
-    for t in range(1, n + warm):
+    for t in range(1, n + 200):
         x[t] = rho * x[t - 1] + e[t]
-    return x[warm:]
+    return x[200:]
 
 
 def gaussian_2d():
@@ -93,3 +93,38 @@ def gaussian_2d():
 
     return mu, cov, target
 
+
+def random_walk_metropolis(target, theta0, n_calls, n_discard, rng):
+    """Component-wise random-walk Metropolis that spends exactly n_calls target calls.
+
+    Each sweep moves one component at a time by a Gaussian step, accepted
+    with probability min(1, P'/P).  Steps start at 0.01, and over the first
+    n_discard sweeps each doubles (halves) every 200 sweeps when its
+    acceptance ran above 60% (below 40%).  Returns the state after each
+    later sweep, the last one cut short where the calls, the start's
+    included, run out.
+    """
+    x = np.array(theta0, dtype=float)
+    lp = target(x)
+    calls, sweep = 1, 0
+    steps = np.full(x.size, 0.01)
+    accepts = np.zeros(x.size)
+    kept = []
+    while calls < n_calls:
+        for j in range(min(x.size, n_calls - calls)):
+            proposed = x.copy()
+            proposed[j] += steps[j] * rng.standard_normal()
+            lp_new = target(proposed)
+            calls += 1
+            delta = lp_new - lp
+            if delta >= 0.0 or rng.random() < math.exp(delta):
+                x, lp = proposed, lp_new
+                accepts[j] += 1
+        sweep += 1
+        if sweep > n_discard:
+            kept.append(x)
+        elif sweep % 200 == 0:
+            steps[accepts > 120] *= 2.0
+            steps[accepts < 80] *= 0.5
+            accepts[:] = 0
+    return np.array(kept)

@@ -225,3 +225,41 @@ def test_criterion_9_diagnostics_oracles():
     ok = acf_err < 0.02 and tau_err < 0.10
     check(9, "AR(1) ACF matches rho^t and 2*tau_int matches 3",
           ok, f"acf_err={acf_err:.4f} 2tau={2 * tau:.3f}")
+
+
+def test_criterion_10_efficiency_against_random_walk(monkeypatch):
+    # The paper's claim: at equal target calls, the adaptive chain's min ESS
+    # far exceeds that of a component-wise random-walk Metropolis whose steps
+    # are tuned over the same discarded sweeps as the warm-up.
+    returns = g.simulate_qgarch(TRUE, 300, g.unconditional_variance(TRUE), seed=1)
+    config = g.ChainConfig(kind=g.ModelKind.QGARCH, burn_in=1000, initial_pool=500, update_interval=500,
+                           total_samples=20_000, seed=1)
+    calls = 0
+    posterior = g.model.log_posterior_fn
+
+    def counted(*args):
+        target = posterior(*args)
+
+        def call(theta):
+            nonlocal calls
+            calls += 1
+            return target(theta)
+
+        return call
+
+    monkeypatch.setattr(g.model, "log_posterior_fn", counted)
+    imh = g.run_adaptive(config, returns).samples
+    imh_calls = calls
+    theta0 = (0.1 * float(np.var(returns.values)), 0.1, 0.8, 0.0)  # where the warm-up starts
+    walk = reference.random_walk_metropolis(counted(returns, g.ModelKind.QGARCH), theta0, imh_calls,
+                                            config.burn_in, np.random.default_rng(config.seed))
+    walk_calls = calls - imh_calls
+
+    def min_ess(samples):
+        return min(samples.shape[0] / (2.0 * g.integrated_autocorr_time(column)[0]) for column in samples.T)
+
+    imh_ess, walk_ess = min_ess(imh), min_ess(walk)
+    ratio = imh_ess / walk_ess
+    ok = walk_calls == imh_calls and ratio >= 10.0
+    check(10, "adaptive IMH min ESS at least 10x a random-walk Metropolis at equal target calls", ok,
+          f"calls={imh_calls}/{walk_calls} min_ess={imh_ess:.0f}/{walk_ess:.0f} ratio={ratio:.1f}")

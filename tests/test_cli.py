@@ -361,14 +361,6 @@ def test_write_csv_block_bytes_equal_savetxt(tmp_path, shape):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_bad_nic_grid_is_data_error(tmp_path, capsys):
-    data = simulate_file(tmp_path)
-    code = main(["run", "--input", str(data), "--input-kind", "returns",
-                 "--out-dir", str(tmp_path / "o"), "--nic-min", "3", "--nic-max", "-3", *RUN_FLAGS])
-    assert code == 3
-    assert "DomainError" in capsys.readouterr().err
-
-
 def test_too_few_samples_is_data_error_before_the_fit(tmp_path, capsys, monkeypatch):
     import garchmc.cli as cli
 

@@ -159,7 +159,7 @@ def test_jackknife_shift_and_scale():
 
 
 def test_jackknife_errors():
-    with pytest.raises(DomainError, match="got 99 for 50 blocks"):
+    with pytest.raises(InsufficientDataError, match=f"need at least {MIN_SAMPLES} samples .*, got 99$"):
         jackknife_se(np.arange(99.0))
 
 

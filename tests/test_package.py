@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -59,3 +60,16 @@ def test_sigtools_loader_names_a_directory_without_it(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
     with pytest.raises(ImportError, match=re.escape(f"missing from {tmp_path / 'signal'}")):
         model._load_sigtools()
+
+
+def test_reference_imports_only_numpy_and_the_standard_library():
+    # The test references must not share code with the package they check.
+    names = set()
+    for node in ast.walk(ast.parse((Path(__file__).parent / "reference.py").read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    top = {name.split(".")[0] for name in names}
+    assert "garchmc" not in top
+    assert top - {"numpy"} <= sys.stdlib_module_names, top

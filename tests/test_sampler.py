@@ -15,6 +15,7 @@ from garchmc import (
     mh_step,
     run_adaptive,
     simulate_qgarch,
+    unconditional_variance,
 )
 
 import reference
@@ -198,8 +199,11 @@ def test_run_adaptive_garch_kind_three_columns():
     assert result.param_names == ("omega", "alpha", "beta")
 
 
-def grid_moments(theta, log_density):
-    """Mean and covariance of the rows of theta weighted by exp(log_density)."""
+def grid_moments(theta, y, s1):
+    """Mean and covariance of the rows of theta weighted by their reference likelihood."""
+    # Blocks of at most 16k rows keep the recursion's vectors in cache.
+    blocks = np.array_split(theta, len(theta) // 16384 + 1)
+    log_density = np.concatenate([reference.log_likelihood(block, y, s1)[0] for block in blocks])
     w = np.exp(log_density - log_density.max())
     w /= w.sum()
     mean = w @ theta
@@ -207,23 +211,45 @@ def grid_moments(theta, log_density):
     return mean, (w * centered.T) @ centered
 
 
-def test_run_adaptive_matches_quadrature_posterior():
-    # Oracle: the flat-prior GARCH(1,1) posterior mean by a midpoint rule on
-    # the reference likelihood.  A 40^3 box over the support places a 60^3 grid
-    # along the posterior's axes, mean + L z with |z_i| <= 8 and L L' the
-    # covariance; 80^3 and 100^3 grids move no mean by more than 0.006 posterior SD.
-    returns = simulate_qgarch(ModelParams(0.1, 0.15, 0.8, 0.0, ModelKind.GARCH), 200, 2.0, seed=1)
+def mesh(*axes):
+    """Every combination of the axes' points, one row each."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def quadrature_mean(y, s1, kind, box, grids, half_width):
+    """The flat-prior posterior mean by a midpoint rule on the reference likelihood.
+
+    A box of `box` points per axis over the support (|gamma| <= 2 sqrt(alpha
+    omega) < 2 sqrt(2 s1)) gives a first mean and covariance; each size in
+    `grids` then places that many points per axis along the posterior's
+    axes, mean + L z with |z_i| <= half_width and L L' the covariance.
+    """
+    u = (np.arange(box) + 0.5) / box
+    axes = [2.0 * s1 * u, u, u, 2.0 * math.sqrt(2.0 * s1) * (2.0 * u - 1.0)][: len(kind.param_names)]
+    theta = mesh(*axes)
+    mean, cov = grid_moments(theta, y, s1)
+    for m in grids:
+        z = half_width * ((np.arange(m) + 0.5) / (m / 2) - 1.0)
+        theta = mean + mesh(*[z] * len(axes)) @ np.linalg.cholesky(cov).T
+        mean, cov = grid_moments(theta, y, s1)
+    return mean
+
+
+# 80^3 and 100^3 GARCH grids move no mean by more than 0.006 posterior SD
+# from the 60^3 one, and a third, 26^4 QGARCH grid none by more than 0.006
+# from the second 20^4 one.
+@pytest.mark.parametrize("params, s0, n, box, grids, half_width", [
+    (ModelParams(0.1, 0.15, 0.8, 0.0, ModelKind.GARCH), 2.0, 200, 40, (60,), 8.0),
+    (TRUE, unconditional_variance(TRUE), 300, 16, (20, 20), 7.0),
+], ids=["garch", "qgarch"])
+def test_run_adaptive_matches_quadrature_posterior(params, s0, n, box, grids, half_width):
+    # Oracle: the chain's means against the grid's, within 3 jackknife SE.
+    returns = simulate_qgarch(params, n, s0, seed=1)
     y = returns.values
     s1 = float(np.var(y, ddof=1))
-    u = (np.arange(40) + 0.5) / 40
-    theta = np.stack(np.meshgrid(2.0 * s1 * u, u, u, indexing="ij"), axis=-1).reshape(-1, 3)
-    mean, cov = grid_moments(theta, reference.log_likelihood(theta, y, s1)[0])
-    z = 8.0 * ((np.arange(60) + 0.5) / 30 - 1.0)
-    z = np.stack(np.meshgrid(z, z, z, indexing="ij"), axis=-1).reshape(-1, 3)
-    theta = mean + z @ np.linalg.cholesky(cov).T
-    mean, _ = grid_moments(theta, reference.log_likelihood(theta, y, s1)[0])
+    mean = quadrature_mean(y, s1, params.kind, box, grids, half_width)
 
-    config = ChainConfig(kind=ModelKind.GARCH, burn_in=1000, initial_pool=500, update_interval=500,
+    config = ChainConfig(kind=params.kind, burn_in=1000, initial_pool=500, update_interval=500,
                          total_samples=20_000, seed=1, sigma1_sq=s1)
     samples = run_adaptive(config, returns).samples
     se = np.array([jackknife_se(column) for column in samples.T])
