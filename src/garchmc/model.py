@@ -121,31 +121,76 @@ _linear_filter = _load_sigtools()._linear_filter
 _ONE = np.ones(1)
 
 
+# Series of at least _SCAN_MIN variance steps run the recursion in blocks of
+# _BLOCK steps; shorter ones run it serially.  Both come from the README's
+# crossover table of the closure against the serial filter.
+_BLOCK = 8
+_SCAN_MIN = 5000
+
+
 def _drive_rows(y: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
-    """The C-contiguous (3, n-1) stack of rows (1, y_{t-1}^2, y_{t-1}) for t = 2..n, from y_t and y_t^2.
+    """The rows (1, y_{t-1}^2, y_{t-1}) for t = 2..n, from y_t and y_t^2, in the layout `_variance_tail` takes.
 
     Built once per path or per posterior closure; `_variance_tail` forms
-    the variance drive as one product of a coefficient vector with it.
+    the variance drive as one product of a coefficient vector with them.
+    Under _SCAN_MIN steps they are one C-contiguous (3, n-1) array; from
+    _SCAN_MIN on, one C-contiguous (3, _BLOCK, nb) array of `_blocks`.
     """
-    rows = allocate((3, y.size - 1), f"the variance drive rows of {y.size} returns")
-    rows[0], rows[1], rows[2] = 1.0, y_sq[:-1], y[:-1]
+    steps = y.size - 1
+    shape = (3, steps) if steps < _SCAN_MIN else (3, _BLOCK, -(-steps // _BLOCK))
+    rows = allocate(shape, f"the variance drive rows of {y.size} returns")
+    if rows.ndim == 2:
+        rows[0], rows[1], rows[2] = 1.0, y_sq[:-1], y[:-1]
+    else:
+        for row, lagged in zip(rows, (np.ones(steps), y_sq[:-1], y[:-1])):
+            _blocks(lagged, row)
     return rows
+
+
+def _blocks(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out`, a (_BLOCK, nb) array, holding `values` in blocks of _BLOCK steps.
+
+    Step i = b * _BLOCK + j sits at out[j, b], so each row of `out` holds
+    one position of every block; the cells after the last step are 0.
+    """
+    out.fill(0.0)
+    out.T.flat[: values.size] = values
+    return out
 
 
 def _variance_tail(
     rows: np.ndarray, omega: float, alpha: float, beta: float, gamma: float, s1: float
 ) -> np.ndarray:
-    """sigma2_2..sigma2_n from the `_drive_rows` stack and sigma2_1 = s1."""
+    """sigma2_2..sigma2_n from the `_drive_rows` rows and sigma2_1 = s1, in the rows' layout.
+
+    In the blocked layout the cells after the last step hold values that
+    belong to no time step.
+    """
     # The drive omega + alpha * y_lag^2 + gamma * y_lag is one product
     # with the rows at every gamma, so GARCH and QGARCH at gamma = 0 take
     # the same product and agree bit for bit.
-    drive = np.array((omega, alpha, gamma)).dot(rows)
-    # sigma2_t = drive_t + beta * sigma2_{t-1} is a first-order linear
-    # recurrence.  This is the compiled routine behind scipy.signal.lfilter
-    # for this input, called without lfilter's per-call argument handling;
-    # public lfilter is its test oracle.
-    tail, _ = _linear_filter(_ONE, np.array([1.0, -beta]), drive, -1, np.array([beta * s1]))
-    return tail
+    coefficients = np.array((omega, alpha, gamma))
+    if rows.ndim == 2:
+        # sigma2_t = drive_t + beta * sigma2_{t-1} is a first-order linear
+        # recurrence.  This is the compiled routine behind
+        # scipy.signal.lfilter for this input, called without lfilter's
+        # per-call argument handling; public lfilter is its test oracle.
+        tail, _ = _linear_filter(_ONE, np.array([1.0, -beta]), coefficients.dot(rows), -1, np.array([beta * s1]))
+        return tail
+    sig = coefficients.dot(rows.reshape(3, -1)).reshape(_BLOCK, -1)
+    # Each block's last variance is its own drive summed with weights
+    # beta^(_BLOCK-1-j), one matrix-vector product, plus beta^_BLOCK times
+    # the previous block's: the same recurrence over the nb block ends.
+    weights = beta ** np.arange(_BLOCK - 1.0, -1.0, -1.0)
+    step = beta**_BLOCK
+    ends, _ = _linear_filter(_ONE, np.array([1.0, -step]), weights.dot(sig), -1, np.array([step * s1]))
+    # Then every block runs the recurrence from the previous block's end,
+    # one step for all blocks at a time, as the serial filter would.
+    sig[0, 0] += beta * s1
+    sig[0, 1:] += beta * ends[:-1]
+    for j in range(1, _BLOCK):
+        sig[j] += beta * sig[j - 1]
+    return sig
 
 
 def allocate(shape: tuple[int, ...], what: str, order: str = "C") -> np.ndarray:
@@ -195,7 +240,7 @@ def check_sigma1_sq(sigma1_sq: float, name: str = "initial variance") -> None:
 
 
 def _bind(returns: ReturnSeries, sigma1_sq: float | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """The `_drive_rows` stack, y_t^2 and the initial variance of a return series.
+    """The `_drive_rows` rows, y_t^2 and the initial variance of a return series.
 
     The returns' squares must have a finite sum (a DomainError, not an
     overflow warning, otherwise); they are checked before the initial
@@ -241,7 +286,8 @@ def volatility_path(
     # The path may overflow; it is then rejected by name below.
     with np.errstate(over="ignore", invalid="ignore"):
         tail = _variance_tail(rows, params.omega, params.alpha, params.beta, params.gamma, s1)
-    sig = np.concatenate(([s1], tail))
+    # Read in time order from either layout, without the blocked layout's pad cells.
+    sig = np.concatenate(([s1], tail.T.reshape(-1)[: len(returns) - 1]))
     if not np.all(np.isfinite(sig)):
         raise DomainError("conditional variance path is not finite; the variances overflow a float")
     if not np.all(sig > 0.0):
@@ -274,6 +320,13 @@ def log_posterior_fn(
     """
     rows, y_sq, s1 = _bind(returns, sigma1_sq)
     y_sq_tail = y_sq[1:]
+    blocked = rows.ndim == 3
+    if blocked:
+        # The cells after the last step read sigma2 = 1 and y^2 = 0, so
+        # they add nothing to either sum, even where the kernel leaves a
+        # zero variance there (beta = 0).
+        pads = (slice(y_sq_tail.size - _BLOCK * (rows.shape[2] - 1), None), -1)
+        y_sq_tail = _blocks(y_sq_tail, np.empty_like(rows[0]))
     # The theta-free terms: n ln(2 pi) and the first return's ln s1 + y_1^2 / s1.
     const = len(returns) * math.log(2.0 * math.pi) + math.log(s1) + float(y_sq[0]) / s1
     dim = len(kind.param_names)
@@ -292,8 +345,10 @@ def log_posterior_fn(
         if not _in_support(omega, alpha, beta, gamma):
             return -math.inf
         sig_tail = _variance_tail(rows, omega, alpha, beta, gamma, s1)
-        # np.add.reduce is the pairwise sum of ndarray.sum without its Python shim.
-        ll = -0.5 * (const + np.add.reduce(np.log(sig_tail)) + np.add.reduce(y_sq_tail / sig_tail))
+        if blocked:
+            sig_tail[pads] = 1.0
+        # np.add.reduce over all axes is the pairwise sum of ndarray.sum without its Python shim.
+        ll = -0.5 * (const + np.add.reduce(np.log(sig_tail), None) + np.add.reduce(y_sq_tail / sig_tail, None))
         # Exact-boundary parameters can drive a variance to zero, which
         # shows up as inf/nan here; treat it as a rejection.
         return float(ll) if math.isfinite(ll) else -math.inf

@@ -18,13 +18,14 @@ from garchmc import (
     unconditional_variance,
     volatility_path,
 )
-from garchmc.model import _drive_rows, _variance_tail
+from garchmc.model import _BLOCK, _SCAN_MIN, _drive_rows, _variance_tail
 
 import reference
 
 # Posterior-mean fits typical of daily equity-index returns, used as
 # realistic test points throughout the suite.
 NIKKEI = ModelParams(0.06219, 0.07872, 0.89390, -0.12403, ModelKind.QGARCH)
+HANG_SENG = ModelParams(0.03202, 0.07638, 0.91168, -0.08678, ModelKind.QGARCH)
 
 
 def random_support_params(rng, kind=ModelKind.QGARCH):
@@ -197,7 +198,7 @@ def test_volatility_path_names_overflow_apart_from_a_zero_variance():
         volatility_path(boundary, ReturnSeries(np.array([2.0, 1.0])), 1.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 250, 2700])
+@pytest.mark.parametrize("n", [1, 2, 3, 250, 2700, _SCAN_MIN])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.91, 1.0 - 1e-12])
 @pytest.mark.parametrize("gamma", [0.0, -0.12403])
 def test_variance_kernel_matches_public_lfilter(n, beta, gamma):
@@ -213,6 +214,32 @@ def test_variance_kernel_matches_public_lfilter(n, beta, gamma):
     assert np.array_equal(got, want)
 
 
+def in_time_order(blocks, steps):
+    """Step i = b * _BLOCK + j of a blocked-layout array, read at [j, b]."""
+    i = np.arange(steps)
+    return blocks[..., i % _BLOCK, i // _BLOCK]
+
+
+@pytest.mark.parametrize("steps", [_SCAN_MIN, _SCAN_MIN + 1, 1000 * _BLOCK, 19999])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.91, 1.0 - 1e-6, 1.0 - 1e-12])
+@pytest.mark.parametrize("gamma", [0.0, -0.12403])
+def test_blocked_variance_kernel_matches_public_lfilter(steps, beta, gamma):
+    # From _SCAN_MIN steps on, the kernel runs the recursion in blocks; in
+    # time order it is lfilter on the same drive: equal at beta = 0, where
+    # no rounding enters, and within 1e-12 relative otherwise.
+    y = simulate_qgarch(NIKKEI, steps + 1, 1.0, seed=steps).values
+    rows = _drive_rows(y, y * y)
+    assert rows.shape == (3, _BLOCK, -(-steps // _BLOCK)) and rows.flags.c_contiguous
+    omega, alpha, s1 = 0.06219, 0.07872, 1.3
+    drive = in_time_order(np.array((omega, alpha, gamma)).dot(rows.reshape(3, -1)).reshape(rows.shape[1:]), steps)
+    want = lfilter([1.0], [1.0, -beta], drive, zi=[beta * s1])[0]
+    got = in_time_order(_variance_tail(rows, omega, alpha, beta, gamma, s1), steps)
+    if beta == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("n", [2, 250, 2700, 20000])
 @pytest.mark.parametrize("gamma", [0.0, -0.12403])
 def test_product_drive_matches_the_ufunc_expression(n, gamma):
@@ -221,14 +248,33 @@ def test_product_drive_matches_the_ufunc_expression(n, gamma):
     # term by term; the two round differently, by an ulp or a few.
     y = simulate_qgarch(NIKKEI, n, 1.0, seed=n).values
     rows = _drive_rows(y, y * y)
-    assert rows.shape == (3, n - 1) and rows.flags.c_contiguous
+    got = _variance_tail(rows, NIKKEI.omega, NIKKEI.alpha, 0.0, gamma, 1.0)
+    if n - 1 >= _SCAN_MIN:
+        # Blocks of _BLOCK steps, the last one zero-padded.
+        assert rows.shape == (3, _BLOCK, -(-(n - 1) // _BLOCK)) and rows.flags.c_contiguous
+        got = in_time_order(got, n - 1)
+    else:
+        assert rows.shape == (3, n - 1) and rows.flags.c_contiguous
     y_lag = y[:-1]
     want = NIKKEI.omega + gamma * y_lag + NIKKEI.alpha * (y_lag * y_lag)
-    got = _variance_tail(rows, NIKKEI.omega, NIKKEI.alpha, 0.0, gamma, 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 2700])
+@pytest.mark.parametrize("steps", [_SCAN_MIN, _SCAN_MIN + 1, 19999])
+@pytest.mark.parametrize("beta", [HANG_SENG.beta, 0.0])
+def test_blocked_closure_matches_the_reference_likelihood(steps, beta):
+    # The blocked layout's pad cells after the last step must add nothing
+    # to the sums, with the last block full or not; at beta = 0, a point
+    # of the support, the kernel leaves a zero variance in them.
+    theta = np.array([HANG_SENG.omega, HANG_SENG.alpha, beta, HANG_SENG.gamma])
+    y = simulate_qgarch(HANG_SENG, steps + 1, 1.0, seed=steps).values
+    got = log_posterior_fn(ReturnSeries(y), ModelKind.QGARCH, 1.3)(theta)
+    (want,), (scale,) = reference.log_likelihood([theta], y, 1.3)
+    assert math.isfinite(got)
+    assert abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 2700, _SCAN_MIN + 1, 20000])
 @pytest.mark.parametrize(
     "params", [NIKKEI, ModelParams(0.03004, 0.09198, 0.89564, 0.0, ModelKind.GARCH)], ids=["qgarch", "garch"]
 )
