@@ -134,23 +134,22 @@ def _drive_rows(y: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
     Built once per path or per posterior closure; `_variance_tail` forms
     the variance drive as one product of a coefficient vector with them.
     Under _SCAN_MIN steps they are one C-contiguous (3, n-1) array; from
-    _SCAN_MIN on, one C-contiguous (3, _BLOCK, nb) array of `_blocks`.
+    _SCAN_MIN on, one C-contiguous (3, _BLOCK, nb) array.  Each row is
+    laid out by `_blocks`, so other per-step data lines up with them.
     """
     steps = y.size - 1
-    shape = (3, steps) if steps < _SCAN_MIN else (3, _BLOCK, -(-steps // _BLOCK))
-    rows = allocate(shape, f"the variance drive rows of {y.size} returns")
-    if rows.ndim == 2:
-        rows[0], rows[1], rows[2] = 1.0, y_sq[:-1], y[:-1]
-    else:
-        for row, lagged in zip(rows, (np.ones(steps), y_sq[:-1], y[:-1])):
-            _blocks(lagged, row)
+    shape = (steps,) if steps < _SCAN_MIN else (_BLOCK, -(-steps // _BLOCK))
+    rows = allocate((3, *shape), f"the variance drive rows of {y.size} returns")
+    for row, lagged in zip(rows, (np.ones(steps), y_sq[:-1], y[:-1])):
+        _blocks(lagged, row)
     return rows
 
 
 def _blocks(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`out`, a (_BLOCK, nb) array, holding `values` in blocks of _BLOCK steps.
+    """`out` holding `values` in the layout of one `_drive_rows` row.
 
-    Step i = b * _BLOCK + j sits at out[j, b], so each row of `out` holds
+    A 1-D `out` takes the values as they are.  In a (_BLOCK, nb) `out`,
+    step i = b * _BLOCK + j sits at out[j, b], so each row of `out` holds
     one position of every block; the cells after the last step are 0.
     """
     out.fill(0.0)
@@ -159,12 +158,13 @@ def _blocks(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _variance_tail(
-    rows: np.ndarray, omega: float, alpha: float, beta: float, gamma: float, s1: float
+    rows: np.ndarray, steps: int, omega: float, alpha: float, beta: float, gamma: float, s1: float
 ) -> np.ndarray:
-    """sigma2_2..sigma2_n from the `_drive_rows` rows and sigma2_1 = s1, in the rows' layout.
+    """sigma2_2..sigma2_n from the `_drive_rows` rows of `steps` steps and sigma2_1 = s1, in the rows' layout.
 
-    In the blocked layout the cells after the last step hold values that
-    belong to no time step.
+    In the blocked layout the cells after the last step read 1.0, so a
+    sum of log sigma2 or of y^2 / sigma2 over a `_blocks` layout of y^2
+    adds nothing there.
     """
     # The drive omega + alpha * y_lag^2 + gamma * y_lag is one product
     # with the rows at every gamma, so GARCH and QGARCH at gamma = 0 take
@@ -190,6 +190,8 @@ def _variance_tail(
     sig[0, 1:] += beta * ends[:-1]
     for j in range(1, _BLOCK):
         sig[j] += beta * sig[j - 1]
+    # Left alone, the pad cells would hold a zero variance at beta = 0.
+    sig[steps - _BLOCK * (sig.shape[1] - 1) :, -1] = 1.0
     return sig
 
 
@@ -207,8 +209,9 @@ def simulate_qgarch(params: ModelParams, n: int, sigma1_sq: float, seed: int) ->
     Generates eps_t ~ N(0,1), runs the variance recursion from
     sigma2_1 = sigma1_sq, and sets y_t = sigma_t * eps_t.  Deterministic
     for a fixed seed, which must be >= 0.  `params` lies in the support
-    by construction.  An `n` whose series numpy cannot allocate, and a
-    variance path that overflows a float, are each a DomainError.
+    by construction.  An `n` whose series numpy cannot allocate, a
+    variance path that overflows a float, and a variance that rounds
+    below zero on the support boundary are each a DomainError.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -222,6 +225,9 @@ def simulate_qgarch(params: ModelParams, n: int, sigma1_sq: float, seed: int) ->
     # The path may overflow; it is then rejected by name below.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n):
+            # On the support boundary the recursion's double root can round below zero.
+            if sig < 0.0:
+                raise DomainError(f"conditional variance at step {t + 1} rounds below zero; parameters sit on the support boundary")
             y[t] = math.sqrt(sig) * y[t]
             sig = omega + gamma * y[t] + alpha * y[t] * y[t] + beta * sig
     if not np.all(np.isfinite(y)):
@@ -285,7 +291,7 @@ def volatility_path(
     rows, _, s1 = _bind(returns, sigma1_sq)
     # The path may overflow; it is then rejected by name below.
     with np.errstate(over="ignore", invalid="ignore"):
-        tail = _variance_tail(rows, params.omega, params.alpha, params.beta, params.gamma, s1)
+        tail = _variance_tail(rows, len(returns) - 1, params.omega, params.alpha, params.beta, params.gamma, s1)
     # Read in time order from either layout, without the blocked layout's pad cells.
     sig = np.concatenate(([s1], tail.T.reshape(-1)[: len(returns) - 1]))
     if not np.all(np.isfinite(sig)):
@@ -319,17 +325,14 @@ def log_posterior_fn(
     per call.
     """
     rows, y_sq, s1 = _bind(returns, sigma1_sq)
-    y_sq_tail = y_sq[1:]
-    blocked = rows.ndim == 3
-    if blocked:
-        # The cells after the last step read sigma2 = 1 and y^2 = 0, so
-        # they add nothing to either sum, even where the kernel leaves a
-        # zero variance there (beta = 0).
-        pads = (slice(y_sq_tail.size - _BLOCK * (rows.shape[2] - 1), None), -1)
-        y_sq_tail = _blocks(y_sq_tail, np.empty_like(rows[0]))
+    steps = len(returns) - 1
+    # y_2^2..y_n^2 in the rows' layout, 0 in the blocked layout's pad cells.
+    y_sq_tail = _blocks(y_sq[1:], np.empty_like(rows[0]))
     # The theta-free terms: n ln(2 pi) and the first return's ln s1 + y_1^2 / s1.
     const = len(returns) * math.log(2.0 * math.pi) + math.log(s1) + float(y_sq[0]) / s1
     dim = len(kind.param_names)
+    # The GARCH kind's gamma, pinned at 0.
+    pinned = [0.0] * (4 - dim)
 
     # The variance path and the sum may overflow or divide by zero; the
     # result is then not finite and is read as a rejection below.
@@ -339,14 +342,10 @@ def log_posterior_fn(
             raise DomainError(f"expected parameter vector of length {dim}, got {len(theta)}")
         # One conversion to Python floats: the support check and the
         # scalar arithmetic cost less on them than on numpy scalars.
-        values = np.asarray(theta, dtype=float).tolist()
-        omega, alpha, beta = values[0], values[1], values[2]
-        gamma = values[3] if dim == 4 else 0.0
+        omega, alpha, beta, gamma = np.asarray(theta, dtype=float).tolist() + pinned
         if not _in_support(omega, alpha, beta, gamma):
             return -math.inf
-        sig_tail = _variance_tail(rows, omega, alpha, beta, gamma, s1)
-        if blocked:
-            sig_tail[pads] = 1.0
+        sig_tail = _variance_tail(rows, steps, omega, alpha, beta, gamma, s1)
         # np.add.reduce over all axes is the pairwise sum of ndarray.sum without its Python shim.
         ll = -0.5 * (const + np.add.reduce(np.log(sig_tail), None) + np.add.reduce(y_sq_tail / sig_tail, None))
         # Exact-boundary parameters can drive a variance to zero, which

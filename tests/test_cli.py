@@ -120,6 +120,17 @@ def test_simulate_negative_seed_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_variance_below_zero_on_the_support_boundary_is_a_data_error(tmp_path, capsys):
+    # beta = 0 and gamma^2 = 4 alpha omega: the variance's double root rounds below zero.
+    out = tmp_path / "returns.csv"
+    code = main(["simulate", "--omega", "0.5468755603901019", "--alpha", "0.3366327592946544", "--beta", "0",
+                 "--gamma", "-0.8581287290026606", "--n", "3", "--seed", "0", "--sigma1-sq", "102.76678734294858",
+                 "--out", str(out)])
+    assert code == 3
+    assert "DomainError: conditional variance at step 2 rounds below zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [10**15, 2**63], ids=["too-many-to-hold", "past-numpy-index"])
 def test_simulate_length_numpy_cannot_allocate_is_a_data_error(tmp_path, capsys, n):
     out = tmp_path / "returns.csv"

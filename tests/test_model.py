@@ -209,7 +209,7 @@ def test_variance_kernel_matches_public_lfilter(n, beta, gamma):
     omega, alpha, s1 = 0.06219, 0.07872, 1.3
     drive = np.array((omega, alpha, gamma)).dot(rows)
     want = lfilter([1.0], [1.0, -beta], drive, zi=[beta * s1])[0]
-    got = _variance_tail(rows, omega, alpha, beta, gamma, s1)
+    got = _variance_tail(rows, n - 1, omega, alpha, beta, gamma, s1)
     assert got.shape == (n - 1,)
     assert np.array_equal(got, want)
 
@@ -233,11 +233,15 @@ def test_blocked_variance_kernel_matches_public_lfilter(steps, beta, gamma):
     omega, alpha, s1 = 0.06219, 0.07872, 1.3
     drive = in_time_order(np.array((omega, alpha, gamma)).dot(rows.reshape(3, -1)).reshape(rows.shape[1:]), steps)
     want = lfilter([1.0], [1.0, -beta], drive, zi=[beta * s1])[0]
-    got = in_time_order(_variance_tail(rows, omega, alpha, beta, gamma, s1), steps)
+    tail = _variance_tail(rows, steps, omega, alpha, beta, gamma, s1)
+    got = in_time_order(tail, steps)
     if beta == 0.0:
         assert np.array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # The cells after the last step, none when the last block is full, read
+    # exactly 1.0, so they add nothing to the closure's sums.
+    assert np.array_equal(tail.T.reshape(-1)[steps:], np.ones(-steps % _BLOCK))
 
 
 @pytest.mark.parametrize("n", [2, 250, 2700, 20000])
@@ -248,7 +252,7 @@ def test_product_drive_matches_the_ufunc_expression(n, gamma):
     # term by term; the two round differently, by an ulp or a few.
     y = simulate_qgarch(NIKKEI, n, 1.0, seed=n).values
     rows = _drive_rows(y, y * y)
-    got = _variance_tail(rows, NIKKEI.omega, NIKKEI.alpha, 0.0, gamma, 1.0)
+    got = _variance_tail(rows, n - 1, NIKKEI.omega, NIKKEI.alpha, 0.0, gamma, 1.0)
     if n - 1 >= _SCAN_MIN:
         # Blocks of _BLOCK steps, the last one zero-padded.
         assert rows.shape == (3, _BLOCK, -(-(n - 1) // _BLOCK)) and rows.flags.c_contiguous
@@ -265,7 +269,8 @@ def test_product_drive_matches_the_ufunc_expression(n, gamma):
 def test_blocked_closure_matches_the_reference_likelihood(steps, beta):
     # The blocked layout's pad cells after the last step must add nothing
     # to the sums, with the last block full or not; at beta = 0, a point
-    # of the support, the kernel leaves a zero variance in them.
+    # of the support, they would hold a zero variance without the kernel's
+    # write of 1.0.
     theta = np.array([HANG_SENG.omega, HANG_SENG.alpha, beta, HANG_SENG.gamma])
     y = simulate_qgarch(HANG_SENG, steps + 1, 1.0, seed=steps).values
     got = log_posterior_fn(ReturnSeries(y), ModelKind.QGARCH, 1.3)(theta)
@@ -287,6 +292,14 @@ def test_simulated_returns_over_kernel_volatility_are_the_seeded_innovations(par
     eps = returns.values / np.sqrt(volatility_path(params, returns, s1))
     want = np.random.default_rng(seed).standard_normal(n)
     np.testing.assert_allclose(eps, want, rtol=1e-12, atol=0.0)
+
+
+def test_simulated_variance_rounding_below_zero_on_the_support_boundary_is_a_domain_error():
+    # beta = 0 and gamma^2 = 4 alpha omega: the variance's double root at
+    # y = -gamma / (2 alpha) rounds to -1.1e-16 at the second step here.
+    boundary = ModelParams(0.5468755603901019, 0.3366327592946544, 0.0, -0.8581287290026606)
+    with pytest.raises(DomainError, match="step 2 rounds below zero; parameters sit on the support boundary"):
+        simulate_qgarch(boundary, 3, 102.76678734294858, seed=0)
 
 
 def test_log_posterior_fn_rejects_wrong_dimension():

@@ -41,7 +41,7 @@ def test_cli_import_loads_only_scipys_compiled_recurrence():
         rows = _drive_rows(y, y * y)
         drive = np.array((0.06219, 0.07872, -0.12403)).dot(rows)
         want = lfilter([1.0], [1.0, -0.8939], drive, zi=[0.8939 * 1.3])[0]
-        got = _variance_tail(rows, 0.06219, 0.07872, 0.8939, -0.12403, 1.3)
+        got = _variance_tail(rows, 2699, 0.06219, 0.07872, 0.8939, -0.12403, 1.3)
         assert np.array_equal(got, want)
         """
     )
