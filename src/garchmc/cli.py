@@ -28,6 +28,9 @@ from .errors import DomainError, GarchMcError
 from .proposal import NU_MAX
 from .sampler import ChainConfig, ChainResult, run_adaptive
 
+# The files `run` writes into `--out-dir`, in the order it writes them.
+REPORT_FILES = ("samples.csv", "acceptance.csv", "moments.json", "summary.json", "summary.txt", "acf.csv", "nic.csv")
+
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     """Write the concatenated `chunks` to `path` through a temporary file that then replaces it.
@@ -92,10 +95,11 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
     """Execute a full run from parsed `run` arguments, writing the report files into `--out-dir`.
 
     Creates `--out-dir` once the chain has finished, so a failed fit
-    leaves no directory, and writes samples.csv, acceptance.csv and
-    moments.json into it at once, so a diagnostics failure still leaves
-    the chain; then summary.json, summary.txt, acf.csv and nic.csv.  Each
-    file is written atomically.
+    leaves no directory, and removes the `REPORT_FILES` an earlier run
+    left there, so a run that fails part-way leaves only files it wrote.
+    Then writes samples.csv, acceptance.csv and moments.json at once, so
+    a diagnostics failure still leaves the chain; then summary.json,
+    summary.txt, acf.csv and nic.csv.  Each file is written atomically.
     """
     # Each `run` flag of a chain setting has its `ChainConfig` field as destination.
     settings = {field.name: getattr(args, field.name) for field in dataclasses.fields(ChainConfig)}
@@ -120,6 +124,8 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
 
     result = run_adaptive(config, returns)
     out.mkdir(parents=True, exist_ok=True)
+    for name in REPORT_FILES:
+        (out / name).unlink(missing_ok=True)
     _write_samples_csv(out / "samples.csv", result)
     _write_acceptance_csv(out / "acceptance.csv", result)
     _write_moments_json(out / "moments.json", result, config.nu)

@@ -338,11 +338,12 @@ def log_posterior_fn(
     # result is then not finite and is read as a rejection below.
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def logpost(theta: np.ndarray) -> float:
-        if len(theta) != dim:
-            raise DomainError(f"expected parameter vector of length {dim}, got {len(theta)}")
+        values = np.asarray(theta, dtype=float)
+        if values.shape != (dim,):
+            raise DomainError(f"expected parameter vector of shape ({dim},), got shape {values.shape}")
         # One conversion to Python floats: the support check and the
         # scalar arithmetic cost less on them than on numpy scalars.
-        omega, alpha, beta, gamma = np.asarray(theta, dtype=float).tolist() + pinned
+        omega, alpha, beta, gamma = values.tolist() + pinned
         if not _in_support(omega, alpha, beta, gamma):
             return -math.inf
         sig_tail = _variance_tail(rows, steps, omega, alpha, beta, gamma, s1)

@@ -10,6 +10,14 @@ import math
 
 import numpy as np
 
+# Posterior-mean QGARCH fits to three equity indexes' daily returns, as
+# (omega, alpha, beta, gamma): test points typical of real data.
+FITS = {
+    "nikkei225": (0.06219, 0.07872, 0.89390, -0.12403),
+    "dax": (0.03004, 0.09198, 0.89564, -0.08483),
+    "hang_seng": (0.03202, 0.07638, 0.91168, -0.08678),
+}
+
 
 def _columns(theta):
     """omega, alpha, beta and gamma of one row or of rows, as one entry per row."""
@@ -61,6 +69,42 @@ def log_likelihood(theta, y, sigma1_sq):
     return np.where(in_support(theta), -0.5 * total, -np.inf), 0.5 * size
 
 
+def grid_moments(theta, y, s1):
+    """Mean and covariance of the rows of theta weighted by their reference likelihood."""
+    # Blocks of at most 16k rows keep the recursion's vectors in cache.
+    blocks = np.array_split(theta, len(theta) // 16384 + 1)
+    log_density = np.concatenate([log_likelihood(block, y, s1)[0] for block in blocks])
+    w = np.exp(log_density - log_density.max())
+    w /= w.sum()
+    mean = w @ theta
+    centered = theta - mean
+    return mean, (w * centered.T) @ centered
+
+
+def mesh(*axes):
+    """Every combination of the axes' points, one row each."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def quadrature_mean(y, s1, dim, box, grids, half_width):
+    """The flat-prior posterior mean of the first `dim` of (omega, alpha, beta, gamma) by a midpoint rule.
+
+    A box of `box` points per axis over the support (|gamma| <= 2 sqrt(alpha
+    omega) < 2 sqrt(2 s1)) gives a first mean and covariance; each size in
+    `grids` then places that many points per axis along the posterior's
+    axes, mean + L z with |z_i| <= half_width and L L' the covariance.
+    """
+    u = (np.arange(box) + 0.5) / box
+    axes = [2.0 * s1 * u, u, u, 2.0 * math.sqrt(2.0 * s1) * (2.0 * u - 1.0)][:dim]
+    theta = mesh(*axes)
+    mean, cov = grid_moments(theta, y, s1)
+    for m in grids:
+        z = half_width * ((np.arange(m) + 0.5) / (m / 2) - 1.0)
+        theta = mean + mesh(*[z] * dim) @ np.linalg.cholesky(cov).T
+        mean, cov = grid_moments(theta, y, s1)
+    return mean
+
+
 def support_point(rng, gamma=True):
     """(omega, alpha, beta, gamma) drawn uniformly inside the support; gamma=False pins gamma at 0.0 without a draw."""
     omega = rng.uniform(0.01, 2.0)
@@ -79,6 +123,30 @@ def ar1(n, rho, seed):
     for t in range(1, n + 200):
         x[t] = rho * x[t - 1] + e[t]
     return x[200:]
+
+
+def naive_acf(x, max_lag):
+    """Autocorrelation by direct summation: cov sums over overlapping pairs, divisor N."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    centered = x - x.mean()
+    var = (centered**2).sum() / n
+    out = np.empty(max_lag + 1)
+    for t in range(max_lag + 1):
+        out[t] = (centered[: n - t] * centered[t:]).sum() / n / var
+    return out
+
+
+def fsum_moments(arr):
+    """Two-pass mean and N-1 covariance of the rows of arr, with exactly rounded sums."""
+    rows = arr.tolist()
+    n, p = len(rows), len(rows[0])
+    mean = [math.fsum(r[i] for r in rows) / n for i in range(p)]
+    cov = [
+        [math.fsum((r[i] - mean[i]) * (r[j] - mean[j]) for r in rows) / (n - 1) for j in range(p)]
+        for i in range(p)
+    ]
+    return np.array(mean), np.array(cov)
 
 
 def gaussian_2d():

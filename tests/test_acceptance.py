@@ -18,12 +18,7 @@ from garchmc.cli import write_news_impact_csv
 
 import reference
 
-# Reference QGARCH fits for three equity indexes (omega, alpha, beta, gamma).
-REFERENCE_FITS = {
-    "nikkei225": g.ModelParams(0.06219, 0.07872, 0.89390, -0.12403),
-    "dax": g.ModelParams(0.03004, 0.09198, 0.89564, -0.08483),
-    "hang_seng": g.ModelParams(0.03202, 0.07638, 0.91168, -0.08678),
-}
+REFERENCE_FITS = {name: g.ModelParams(*fit) for name, fit in reference.FITS.items()}
 
 TRUE = REFERENCE_FITS["nikkei225"]
 DATA_SEED = 2024

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import tracemalloc
 import warnings
@@ -7,9 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
+import garchmc.cli as cli
+import garchmc.sampler as sampler
 from garchmc import (
     ChainConfig,
     ChainResult,
+    DegenerateCovarianceError,
     DomainError,
     ModelKind,
     ModelParams,
@@ -19,7 +24,8 @@ from garchmc import (
     load_returns,
     news_impact_curve,
 )
-from garchmc.cli import _CSV_BLOCK_ROWS, _build_parser, _write_csv, main
+
+import reference
 
 RUN_FLAGS = [
     "--burn-in", "300",
@@ -33,27 +39,49 @@ REPORT_FILES = ("samples.csv", "summary.json", "summary.txt", "acf.csv", "accept
 
 def simulate_file(tmp_path, name="returns.csv", seed=100, n=400):
     path = tmp_path / name
-    code = main([
-        "simulate",
-        "--omega", "0.06219", "--alpha", "0.07872", "--beta", "0.89390", "--gamma", "-0.12403",
+    omega, alpha, beta, gamma = map(str, reference.FITS["nikkei225"])
+    code = cli.main([
+        "simulate", "--omega", omega, "--alpha", alpha, "--beta", beta, "--gamma", gamma,
         "--n", str(n), "--seed", str(seed), "--out", str(path),
     ])
     assert code == 0
     return path
 
 
-def run_dir(tmp_path, input_path, out_name="out", extra=()):
-    out = tmp_path / out_name
-    code = main([
-        "run",
-        "--input", str(input_path),
-        "--input-kind", "returns",
-        "--out-dir", str(out),
-        *RUN_FLAGS,
-        *extra,
-    ])
-    assert code == 0
+def call(*argv):
+    """`garchmc <argv>` through `cli.main`: its exit status and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def run(tmp_path, *flags):
+    """`garchmc run` on `simulate_file(tmp_path)` into `tmp_path / "o"` with `RUN_FLAGS`, then `flags`.
+
+    A repeated flag takes its last value, so `flags` may name another
+    input or out-dir.  Returns the exit status, stderr and the out-dir.
+    """
+    out = tmp_path / "o"
+    code, err = call("run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                     "--out-dir", str(out), *RUN_FLAGS, *flags)
+    return code, err, out
+
+
+def run_dir(tmp_path, *flags):
+    """`run` that must succeed; returns its out-dir."""
+    code, err, out = run(tmp_path, *flags)
+    assert code == 0, err
     return out
+
+
+def refuse(what):
+    """A stand-in for `what` that fails the test if it is called."""
+
+    def never(*args):
+        raise AssertionError(f"{what} ran")
+
+    return never
 
 
 def read_csv(path):
@@ -74,75 +102,46 @@ def test_simulate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_rejects_zero_length(tmp_path, capsys):
-    code = main(["simulate", "--omega", "0.1", "--alpha", "0.1", "--beta", "0.8",
-                 "--n", "0", "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-    assert "DomainError" in capsys.readouterr().err
-
-
-def test_simulate_rejects_off_support(tmp_path):
-    code = main(["simulate", "--omega", "0.1", "--alpha", "0.6", "--beta", "0.6",
-                 "--n", "10", "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-
-
-def test_simulate_variance_overflow_is_a_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("flags, message", [
+    (("--n", "0"), "DomainError"),
+    (("--alpha", "0.6", "--beta", "0.6"), "DomainError: parameters outside the model support"),
+    (("--omega", "0.06", "--alpha", "0.07", "--beta", "0.89", "--n", "50", "--sigma1-sq", "1.7e308", "--seed", "3"),
+     "DomainError: the variance path overflows a float from initial variance 1.7e+308"),
+    (("--seed", "-1"), "DomainError"),
+    # beta = 0 and gamma^2 = 4 alpha omega: the variance's double root rounds below zero.
+    (("--omega", "0.5468755603901019", "--alpha", "0.3366327592946544", "--beta", "0", "--gamma", "-0.8581287290026606",
+      "--n", "3", "--seed", "0", "--sigma1-sq", "102.76678734294858"),
+     "DomainError: conditional variance at step 2 rounds below zero"),
+    (("--n", str(10**15)), f"DomainError: n = {10**15} needs {8 * 10**15} bytes"),
+    (("--n", str(2**63)), f"DomainError: n = {2**63} needs {8 * 2**63} bytes"),
+], ids=["zero-length", "off-support", "variance-overflow", "negative-seed", "below-zero-on-the-boundary",
+        "too-many-to-hold", "past-numpy-index"])
+def test_simulate_data_error_writes_no_file(tmp_path, flags, message):
+    # Each case's flags replace those of a valid 10-step GARCH series.
     out = tmp_path / "returns.csv"
-    code = main(["simulate", "--omega", "0.06", "--alpha", "0.07", "--beta", "0.89", "--n", "50",
-                 "--sigma1-sq", "1.7e308", "--seed", "3", "--out", str(out)])
+    code, err = call("simulate", "--omega", "0.1", "--alpha", "0.1", "--beta", "0.8", "--n", "10", *flags,
+                     "--out", str(out))
     assert code == 3
-    assert "DomainError: the variance path overflows a float from initial variance 1.7e+308" in capsys.readouterr().err
+    assert message in err
     assert not out.exists()
 
 
-def test_simulate_stationary_variance_overflow_names_the_ratio(tmp_path, capsys):
+def test_simulate_stationary_variance_overflow_names_the_ratio(tmp_path):
     # No --sigma1-sq: the default omega / (1 - alpha - beta) is past the largest float.
     out = tmp_path / "sim" / "x.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["simulate", "--omega", "1e307", "--alpha", "0.5", "--beta", "0.49", "--n", "5",
-                     "--out", str(out)])
+        code, err = call("simulate", "--omega", "1e307", "--alpha", "0.5", "--beta", "0.49", "--n", "5",
+                         "--out", str(out))
     assert not caught
     assert code == 3
-    err = capsys.readouterr().err
     assert "DomainError: stationary variance omega / (1 - alpha - beta) = 1e+307 / 0.01" in err
     assert "initial variance" not in err
     assert not out.parent.exists()
 
 
-def test_simulate_negative_seed_is_data_error(tmp_path, capsys):
-    out = tmp_path / "returns.csv"
-    code = main(["simulate", "--omega", "0.1", "--alpha", "0.1", "--beta", "0.8", "--n", "10",
-                 "--seed", "-1", "--out", str(out)])
-    assert code == 3
-    assert "DomainError" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_simulate_variance_below_zero_on_the_support_boundary_is_a_data_error(tmp_path, capsys):
-    # beta = 0 and gamma^2 = 4 alpha omega: the variance's double root rounds below zero.
-    out = tmp_path / "returns.csv"
-    code = main(["simulate", "--omega", "0.5468755603901019", "--alpha", "0.3366327592946544", "--beta", "0",
-                 "--gamma", "-0.8581287290026606", "--n", "3", "--seed", "0", "--sigma1-sq", "102.76678734294858",
-                 "--out", str(out)])
-    assert code == 3
-    assert "DomainError: conditional variance at step 2 rounds below zero" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("n", [10**15, 2**63], ids=["too-many-to-hold", "past-numpy-index"])
-def test_simulate_length_numpy_cannot_allocate_is_a_data_error(tmp_path, capsys, n):
-    out = tmp_path / "returns.csv"
-    code = main(["simulate", "--omega", "0.1", "--alpha", "0.1", "--beta", "0.8", "--n", str(n),
-                 "--out", str(out)])
-    assert code == 3
-    assert f"DomainError: n = {n} needs {8 * n} bytes" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_run_emits_all_output_files(tmp_path):
-    out = run_dir(tmp_path, simulate_file(tmp_path))
+    out = run_dir(tmp_path)
     # Exactly the report files: every temporary file was renamed into place.
     assert sorted(path.name for path in out.iterdir()) == sorted(REPORT_FILES)
 
@@ -173,23 +172,21 @@ def test_run_emits_all_output_files(tmp_path):
     assert all(list(block) == summary_fields for block in summary["parameters"].values())
 
 
-def test_run_missing_input_names_path(tmp_path, capsys):
-    code = main(["run", "--input", str(tmp_path / "nope.csv"), "--input-kind", "returns",
-                 "--out-dir", str(tmp_path / "out"), *RUN_FLAGS])
+def test_run_missing_input_names_path(tmp_path):
+    code, err, _ = run(tmp_path, "--input", str(tmp_path / "nope.csv"))
     assert code == 3
-    assert "nope.csv" in capsys.readouterr().err
+    assert "nope.csv" in err
 
 
 def test_run_deterministic_byte_identical(tmp_path):
-    data = simulate_file(tmp_path)
-    a = run_dir(tmp_path, data, out_name="a")
-    b = run_dir(tmp_path, data, out_name="b")
+    a = run_dir(tmp_path / "a")
+    b = run_dir(tmp_path / "b")
     for name in REPORT_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_run_csv_numbers_round_trip(tmp_path):
-    out = run_dir(tmp_path, simulate_file(tmp_path))
+    out = run_dir(tmp_path)
     _, rows = read_csv(out / "samples.csv")
     for row in rows[:50]:
         for value in row:
@@ -197,7 +194,7 @@ def test_run_csv_numbers_round_trip(tmp_path):
 
 
 def test_summary_txt_matches_json_exactly(tmp_path):
-    out = run_dir(tmp_path, simulate_file(tmp_path))
+    out = run_dir(tmp_path)
     params = json.loads((out / "summary.json").read_text())["parameters"]
     lines = (out / "summary.txt").read_text().splitlines()
     for name, stats in params.items():
@@ -218,22 +215,19 @@ def test_run_prices_input_with_named_column(tmp_path):
         fh.write("date,close\n")
         for i, p in enumerate(prices):
             fh.write(f"2001-{i},{float(p)!r}\n")
-    out = tmp_path / "out"
-    code = main(["run", "--input", str(path), "--input-kind", "prices", "--column", "close",
-                 "--out-dir", str(out), *RUN_FLAGS])
-    assert code == 0
+    out = run_dir(tmp_path, "--input", str(path), "--input-kind", "prices", "--column", "close")
     _, rows = read_csv(out / "samples.csv")
     assert len(rows) == 600
 
 
 def test_run_garch_model_flag(tmp_path):
-    out = run_dir(tmp_path, simulate_file(tmp_path), extra=("--model", "garch"))
+    out = run_dir(tmp_path, "--model", "garch")
     header, _ = read_csv(out / "samples.csv")
     assert header == ["omega", "alpha", "beta"]
 
 
 def test_run_freeze_after_flag_stops_proposal_updates(tmp_path):
-    out = run_dir(tmp_path, simulate_file(tmp_path), extra=("--freeze-after", "300"))
+    out = run_dir(tmp_path, "--freeze-after", "300")
     snaps = json.loads((out / "moments.json").read_text())["snapshots"]
     frozen = [s["proposal_sigma"] for s in snaps if s["t"] >= 300]
     assert len(frozen) >= 2
@@ -242,7 +236,7 @@ def test_run_freeze_after_flag_stops_proposal_updates(tmp_path):
 
 
 def test_nic_csv_matches_posterior_mean_curve(tmp_path):
-    out = run_dir(tmp_path, simulate_file(tmp_path), extra=("--nic-min", "-2", "--nic-max", "2", "--nic-points", "41"))
+    out = run_dir(tmp_path, "--nic-min", "-2", "--nic-max", "2", "--nic-points", "41")
     _, rows = read_csv(out / "nic.csv")
     assert len(rows) == 41
     summary = json.loads((out / "summary.json").read_text())["parameters"]
@@ -256,41 +250,39 @@ def test_nic_csv_matches_posterior_mean_curve(tmp_path):
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
-        main(["run", "--input-kind", "returns"])  # missing required flags
+        cli.main(["run", "--input-kind", "returns"])  # missing required flags
     assert err.value.code == 2
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
-    import garchmc.cli as cli
-    from garchmc import DegenerateCovarianceError
-
+def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     def boom(config, returns):
         raise DegenerateCovarianceError("covariance collapsed")
 
     monkeypatch.setattr(cli, "run_adaptive", boom)
-    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                 "--out-dir", str(tmp_path / "out"), *RUN_FLAGS])
+    code, err, _ = run(tmp_path)
     assert code == 4
-    assert "DegenerateCovarianceError" in capsys.readouterr().err
+    assert "DegenerateCovarianceError" in err
 
 
-def test_collinear_warm_up_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
-    import garchmc.sampler as sampler
-
+def test_collinear_warm_up_is_a_numerical_failure(tmp_path, monkeypatch):
     def stuck(target, theta0, n_keep, n_discard, rng):
         return np.tile(theta0, (n_keep, 1))
 
+    # Into a new out-dir, and into one that holds an earlier run's report.
+    earlier = run_dir(tmp_path / "again")
+    before = {path.name: path.read_bytes() for path in earlier.iterdir()}
     monkeypatch.setattr(sampler, "metropolis_warmup", stuck)
-    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                 "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
-    err = capsys.readouterr().err
-    assert code == 4
-    assert "DegenerateCovarianceError: covariance is not positive definite" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "o").exists()
+    for base in (tmp_path / "new", tmp_path / "again"):
+        code, err, _ = run(base)
+        assert code == 4
+        assert "DegenerateCovarianceError: covariance is not positive definite" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "new" / "o").exists()
+    # A run that fails before its first write leaves the out-dir as it was.
+    assert {path.name: path.read_bytes() for path in earlier.iterdir()} == before
 
 
-def test_moments_that_overflow_are_a_numerical_failure(tmp_path, capsys):
+def test_moments_that_overflow_are_a_numerical_failure(tmp_path):
     # The squares of the returns sum to a finite ~3e306, but the warm-up
     # settles at omega ~ 1e303, whose squared deviations overflow the
     # proposal's covariance.
@@ -299,12 +291,11 @@ def test_moments_that_overflow_are_a_numerical_failure(tmp_path, capsys):
     data.write_text("".join(f"{v!r}\n" for v in values.tolist()))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["run", "--input", str(data), "--input-kind", "returns",
-                     "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+        code, err, out = run(tmp_path, "--input", str(data))
     assert code == 4
-    assert "DegenerateCovarianceError: moments are not finite" in capsys.readouterr().err
+    assert "DegenerateCovarianceError: moments are not finite" in err
     assert not caught
-    assert not (tmp_path / "o").exists()
+    assert not out.exists()
 
 
 def test_write_csv_golden_bytes(tmp_path):
@@ -321,13 +312,13 @@ def test_write_csv_golden_bytes(tmp_path):
         b"0.33333333333333331,4.9406564584124654e-324,-0\n"
         b"1,9007199254740994,123456789.125\n"
     )
-    _write_csv(tmp_path / "array.csv", ("a", "b", "c"), rows)
+    cli._write_csv(tmp_path / "array.csv", ("a", "b", "c"), rows)
     assert (tmp_path / "array.csv").read_bytes() == expected
     # An integer-valued index column prints as integers, as acceptance.csv's
     # windows and acf.csv's lags do; a NaN cell prints as acf.csv's
     # never-moved column does.
     indexed = np.column_stack([np.arange(1, 3), [0.1, np.nan]])
-    _write_csv(tmp_path / "indexed.csv", ("window", "acceptance"), indexed)
+    cli._write_csv(tmp_path / "indexed.csv", ("window", "acceptance"), indexed)
     assert (tmp_path / "indexed.csv").read_bytes() == b"window,acceptance\n1,0.10000000000000001\n2,nan\n"
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -340,7 +331,7 @@ def test_write_csv_streams_rows(tmp_path):
     table = np.random.default_rng(0).standard_normal((20_000, 4))
     tracemalloc.start()
     try:
-        _write_csv(tmp_path / "big.csv", ("a", "b", "c", "d"), table)
+        cli._write_csv(tmp_path / "big.csv", ("a", "b", "c", "d"), table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,10 +343,10 @@ def test_write_csv_streams_rows(tmp_path):
 @pytest.mark.parametrize("shape", [
     (0, 3),
     (1, 1),
-    (_CSV_BLOCK_ROWS - 1, 4),
-    (_CSV_BLOCK_ROWS, 4),
-    (_CSV_BLOCK_ROWS + 1, 4),
-    (2 * _CSV_BLOCK_ROWS + 7, 3),
+    (cli._CSV_BLOCK_ROWS - 1, 4),
+    (cli._CSV_BLOCK_ROWS, 4),
+    (cli._CSV_BLOCK_ROWS + 1, 4),
+    (2 * cli._CSV_BLOCK_ROWS + 7, 3),
 ])
 def test_write_csv_block_bytes_equal_savetxt(tmp_path, shape):
     # The writer formats whole blocks of rows at once; each block boundary
@@ -368,62 +359,32 @@ def test_write_csv_block_bytes_equal_savetxt(tmp_path, shape):
     flat[flat.size - k :] = special[::-1][:k]
     header = [f"c{j}" for j in range(shape[1])]
     np.savetxt(tmp_path / "want.csv", table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
-    _write_csv(tmp_path / "got.csv", header, table)
+    cli._write_csv(tmp_path / "got.csv", header, table)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_too_few_samples_is_data_error_before_the_fit(tmp_path, capsys, monkeypatch):
-    import garchmc.cli as cli
-
-    def never(config, returns):
-        raise AssertionError("run_adaptive called")
-
-    monkeypatch.setattr(cli, "run_adaptive", never)
-    out = tmp_path / "o"
-    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                 "--out-dir", str(out), *RUN_FLAGS, "--samples", "1"])
+def test_too_few_samples_is_data_error_before_the_fit(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_adaptive", refuse("run_adaptive"))
+    code, err, out = run(tmp_path, "--samples", "1")
     assert code == 3
-    assert "--samples >= 100" in capsys.readouterr().err
+    assert "--samples >= 100" in err
     assert not out.exists()
 
 
-def test_samples_too_many_to_hold_are_a_data_error_before_the_warm_up(tmp_path, capsys, monkeypatch):
-    import garchmc.sampler as sampler
-
-    def never(*args):
-        raise AssertionError("the warm-up ran")
-
-    monkeypatch.setattr(sampler, "metropolis_warmup", never)
-    out = tmp_path / "o"
-    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                 "--out-dir", str(out), *RUN_FLAGS, "--samples", str(10**17)])
+@pytest.mark.parametrize("flags, pool, total", [
+    (("--samples", str(10**17)), 200, 10**17),
+    (("--initial-pool", str(10**15)), 10**15, 600),
+], ids=["samples", "initial-pool"])
+def test_store_too_large_to_hold_is_a_data_error_before_the_warm_up(tmp_path, monkeypatch, flags, pool, total):
+    monkeypatch.setattr(sampler, "metropolis_warmup", refuse("the warm-up"))
+    code, err, out = run(tmp_path, *flags)
     assert code == 3
-    assert f"DomainError: initial_pool = 200 plus total_samples = {10**17} needs {32 * (10**17 + 200)} bytes" \
-        in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_initial_pool_too_large_to_hold_is_named_before_the_warm_up(tmp_path, capsys, monkeypatch):
-    import garchmc.sampler as sampler
-
-    def never(*args):
-        raise AssertionError("the warm-up ran")
-
-    monkeypatch.setattr(sampler, "metropolis_warmup", never)
-    out = tmp_path / "o"
-    pool = 10**15
-    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                 "--out-dir", str(out), *RUN_FLAGS, "--initial-pool", str(pool)])
-    assert code == 3
-    assert f"DomainError: initial_pool = {pool} plus total_samples = 600 needs {32 * (pool + 600)} bytes" \
-        in capsys.readouterr().err
+    assert f"DomainError: initial_pool = {pool} plus total_samples = {total} needs {32 * (pool + total)} bytes" in err
     assert not out.exists()
 
 
 def run_config(monkeypatch, tmp_path, *flags):
     """The `ChainConfig` that `garchmc run` hands to the sampler for `flags`."""
-    import garchmc.cli as cli
-
     seen = []
 
     def stop(config, returns):
@@ -431,13 +392,14 @@ def run_config(monkeypatch, tmp_path, *flags):
         raise DomainError("stop after the config is built")
 
     monkeypatch.setattr(cli, "run_adaptive", stop)
-    assert main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                 "--out-dir", str(tmp_path / "o"), *flags]) == 3
+    code, _ = call("run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
+                   "--out-dir", str(tmp_path / "o"), *flags)
+    assert code == 3
     return seen[0]
 
 
 def test_run_flag_defaults_are_chain_config_defaults(monkeypatch, tmp_path):
-    args = _build_parser().parse_args(["run", "--input", "x", "--out-dir", "y"])
+    args = cli._build_parser().parse_args(["run", "--input", "x", "--out-dir", "y"])
     assert {field.name for field in dataclasses.fields(ChainConfig)} <= set(vars(args))
     assert run_config(monkeypatch, tmp_path) == ChainConfig()
 
@@ -480,59 +442,48 @@ def test_run_flags_set_every_chain_config_field(monkeypatch, tmp_path):
         "infinite-sigma1-sq", "zero-sigma1-sq", "negative-freeze-after", "negative-seed", "one-state-pool", "rank-deficient-qgarch-pool",
         "rank-deficient-garch-pool", "infinite-nic-max", "infinite-nic-min",
         "no-burn-in", "no-update-interval", "nic-points-too-many-to-hold", "nic-points-past-numpy-index"])
-def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, capsys, flags):
-    out = tmp_path / "o"
-    code = main(["run", "--input", str(tmp_path / "never-read.csv"), "--input-kind", "returns",
-                 "--out-dir", str(out), *RUN_FLAGS, *flags])
+def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, flags):
+    code, err, out = run(tmp_path, "--input", str(tmp_path / "never-read.csv"), *flags)
     assert code == 3
-    assert "DomainError" in capsys.readouterr().err  # a read attempt would raise FileNotFoundError
+    assert "DomainError" in err  # a read attempt would raise FileNotFoundError
     assert not out.exists()
 
 
-def test_out_dir_under_a_file_is_a_data_error_before_the_fit(tmp_path, capsys, monkeypatch):
-    import garchmc.cli as cli
-
-    def never(config, returns):
-        raise AssertionError("the fit ran")
-
-    monkeypatch.setattr(cli, "run_adaptive", never)
+def test_out_dir_under_a_file_is_a_data_error_before_the_fit(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_adaptive", refuse("the fit"))
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                 "--out-dir", str(blocker / "o"), *RUN_FLAGS])
+    code, err, _ = run(tmp_path, "--out-dir", str(blocker / "o"))
     assert code == 3
-    assert f"{blocker} is not a writable directory" in capsys.readouterr().err
+    assert f"{blocker} is not a writable directory" in err
 
 
 @pytest.mark.parametrize("extra", [(), ("--sigma1-sq", "1")], ids=["default-sigma1-sq", "given-sigma1-sq"])
-def test_returns_whose_squares_overflow_are_a_data_error(tmp_path, capsys, extra):
+def test_returns_whose_squares_overflow_are_a_data_error(tmp_path, extra):
     data = tmp_path / "huge.csv"
     data.write_text("1e308\n-1e308\n1e308\n-1e308\n1e308\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["run", "--input", str(data), "--input-kind", "returns",
-                     "--out-dir", str(tmp_path / "o"), *RUN_FLAGS, *extra])
+        code, err, _ = run(tmp_path, "--input", str(data), *extra)
     assert code == 3
-    assert "DomainError: returns must have a finite sum of squares" in capsys.readouterr().err
+    assert "DomainError: returns must have a finite sum of squares" in err
     assert not caught
 
 
-def test_diagnostics_failure_keeps_the_chain(tmp_path, capsys, monkeypatch):
-    import garchmc.cli as cli
-
+def test_diagnostics_failure_keeps_the_chain(tmp_path, monkeypatch):
     def fail(result, returns):
         raise NonConvergenceError("tau_int did not settle")
 
+    # Into a new out-dir, and into one that holds an earlier run's report.
+    run_dir(tmp_path / "again")
     monkeypatch.setattr(cli.diagnostics, "summarize", fail)
-    out = tmp_path / "out"
-    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                 "--out-dir", str(out), *RUN_FLAGS])
-    assert code == 4
-    assert "NonConvergenceError" in capsys.readouterr().err
-    _, rows = read_csv(out / "samples.csv")
-    assert len(rows) == 600
-    assert (out / "acceptance.csv").exists() and (out / "moments.json").exists()
-    assert not (out / "summary.json").exists()
+    for base in (tmp_path / "new", tmp_path / "again"):
+        code, err, out = run(base)
+        assert code == 4
+        assert "NonConvergenceError" in err
+        _, rows = read_csv(out / "samples.csv")
+        assert len(rows) == 600
+        assert sorted(path.name for path in out.iterdir()) == ["acceptance.csv", "moments.json", "samples.csv"]
 
 
 def stuck_at(point):
@@ -551,11 +502,9 @@ def stuck_at(point):
 
 
 def test_chain_that_never_moves_writes_every_report(tmp_path, monkeypatch):
-    import garchmc.cli as cli
-
-    point = [0.06219, 0.07872, 0.89390, -0.12403]
+    point = list(reference.FITS["nikkei225"])
     monkeypatch.setattr(cli, "run_adaptive", stuck_at(point))
-    out = run_dir(tmp_path, simulate_file(tmp_path))
+    out = run_dir(tmp_path)
     # Exactly the report files: every temporary file was renamed into place.
     assert sorted(path.name for path in out.iterdir()) == sorted(REPORT_FILES)
     header, rows = read_csv(out / "acf.csv")
@@ -566,35 +515,32 @@ def test_chain_that_never_moves_writes_every_report(tmp_path, monkeypatch):
     assert [summary["parameters"][name]["mean"] for name in header[1:]] == point
 
 
-def test_posterior_mean_off_the_support_fails_after_the_summary(tmp_path, capsys, monkeypatch):
-    import garchmc.cli as cli
-
+def test_posterior_mean_off_the_support_fails_after_the_summary(tmp_path, monkeypatch):
     # alpha + beta = 1: no stationary variance, so no news impact curve.
     monkeypatch.setattr(cli, "run_adaptive", stuck_at([0.1, 0.5, 0.5, 0.0]))
-    out = tmp_path / "out"
-    code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                 "--out-dir", str(out), *RUN_FLAGS])
+    code, err, out = run(tmp_path)
     assert code == 3
-    assert "DomainError: parameters outside the model support" in capsys.readouterr().err
+    assert "DomainError: parameters outside the model support" in err
     assert sorted(path.name for path in out.iterdir()) == sorted(set(REPORT_FILES) - {"nic.csv"})
 
 
-def test_news_impact_grid_that_overflows_fails_after_the_summary(tmp_path, capsys):
+def test_news_impact_grid_that_overflows_fails_after_the_summary(tmp_path):
     # The grid's ends are finite, but alpha * y^2 at y = +-1e200 is not.
-    out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["run", "--input", str(simulate_file(tmp_path)), "--input-kind", "returns",
-                     "--out-dir", str(out), *RUN_FLAGS, "--nic-min=-1e200", "--nic-max=1e200"])
-    assert not caught
-    assert code == 3
-    assert "DomainError: news impact curve is not finite at grid point 0, y = -1e+200" in capsys.readouterr().err
-    assert sorted(path.name for path in out.iterdir()) == sorted(set(REPORT_FILES) - {"nic.csv"})
+    # Into a new out-dir, and into one that holds an earlier run's report.
+    run_dir(tmp_path / "again")
+    for base in (tmp_path / "new", tmp_path / "again"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err, out = run(base, "--nic-min=-1e200", "--nic-max=1e200")
+        assert not caught
+        assert code == 3
+        assert "DomainError: news impact curve is not finite at grid point 0, y = -1e+200" in err
+        assert sorted(path.name for path in out.iterdir()) == sorted(set(REPORT_FILES) - {"nic.csv"})
 
 
-def test_flat_prices_need_an_explicit_initial_variance(tmp_path, capsys):
+def test_flat_prices_need_an_explicit_initial_variance(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("close\n100\n100\n100\n100\n")
-    code = main(["run", "--input", str(path), "--column", "close", "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    code, err, _ = run(tmp_path, "--input", str(path), "--input-kind", "prices", "--column", "close")
     assert code == 3
-    assert "--sigma1-sq" in capsys.readouterr().err
+    assert "--sigma1-sq" in err

@@ -20,6 +20,8 @@ from garchmc import (
 )
 from garchmc.cli import main
 
+import reference
+
 
 def test_load_prices_plain_rows():
     series = load_prices(io.StringIO("100\n101\n99\n"))
@@ -242,7 +244,7 @@ def test_simulate_iid_limit_gaussian_kurtosis():
 
 
 def test_simulate_matches_stationary_variance():
-    params = ModelParams(0.06219, 0.07872, 0.89390, -0.12403)
+    params = ModelParams(*reference.FITS["nikkei225"])
     target = params.omega / (1.0 - params.alpha - params.beta)
     returns = simulate_qgarch(params, 100_000, target, seed=7)
     assert abs(np.var(returns.values) / target - 1.0) < 0.10

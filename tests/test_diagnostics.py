@@ -22,18 +22,6 @@ from garchmc.diagnostics import MIN_SAMPLES
 import reference
 
 
-def naive_acf(x, max_lag):
-    """Direct-summation oracle: cov sums over overlapping pairs, divisor N."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    centered = x - x.mean()
-    var = (centered**2).sum() / n
-    out = np.empty(max_lag + 1)
-    for t in range(max_lag + 1):
-        out[t] = (centered[: n - t] * centered[t:]).sum() / n / var
-    return out
-
-
 def fake_chain(samples, names=("theta",), acceptance=(0.8, 0.8)):
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -58,7 +46,7 @@ def test_acf_lag_zero_is_one_exactly():
 def test_acf_matches_direct_summation(n):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(n).cumsum()  # strongly correlated series
-    np.testing.assert_allclose(acf(x, 20), naive_acf(x, 20), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(acf(x, 20), reference.naive_acf(x, 20), rtol=1e-9, atol=1e-12)
 
 
 def test_acf_white_noise_band():

@@ -22,10 +22,8 @@ from garchmc.model import _BLOCK, _SCAN_MIN, _drive_rows, _variance_tail
 
 import reference
 
-# Posterior-mean fits typical of daily equity-index returns, used as
-# realistic test points throughout the suite.
-NIKKEI = ModelParams(0.06219, 0.07872, 0.89390, -0.12403, ModelKind.QGARCH)
-HANG_SENG = ModelParams(0.03202, 0.07638, 0.91168, -0.08678, ModelKind.QGARCH)
+NIKKEI = ModelParams(*reference.FITS["nikkei225"], ModelKind.QGARCH)
+HANG_SENG = ModelParams(*reference.FITS["hang_seng"], ModelKind.QGARCH)
 
 
 def random_support_params(rng, kind=ModelKind.QGARCH):
@@ -200,13 +198,13 @@ def test_volatility_path_names_overflow_apart_from_a_zero_variance():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 250, 2700, _SCAN_MIN])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.91, 1.0 - 1e-12])
-@pytest.mark.parametrize("gamma", [0.0, -0.12403])
+@pytest.mark.parametrize("gamma", [0.0, NIKKEI.gamma])
 def test_variance_kernel_matches_public_lfilter(n, beta, gamma):
     # The kernel calls scipy's compiled recurrence without lfilter's
     # wrapper; lfilter on the same drive must give the same bits.
     y = simulate_qgarch(NIKKEI, n, 1.0, seed=n).values
     rows = _drive_rows(y, y * y)
-    omega, alpha, s1 = 0.06219, 0.07872, 1.3
+    omega, alpha, s1 = NIKKEI.omega, NIKKEI.alpha, 1.3
     drive = np.array((omega, alpha, gamma)).dot(rows)
     want = lfilter([1.0], [1.0, -beta], drive, zi=[beta * s1])[0]
     got = _variance_tail(rows, n - 1, omega, alpha, beta, gamma, s1)
@@ -222,7 +220,7 @@ def in_time_order(blocks, steps):
 
 @pytest.mark.parametrize("steps", [_SCAN_MIN, _SCAN_MIN + 1, 1000 * _BLOCK, 19999])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.91, 1.0 - 1e-6, 1.0 - 1e-12])
-@pytest.mark.parametrize("gamma", [0.0, -0.12403])
+@pytest.mark.parametrize("gamma", [0.0, NIKKEI.gamma])
 def test_blocked_variance_kernel_matches_public_lfilter(steps, beta, gamma):
     # From _SCAN_MIN steps on, the kernel runs the recursion in blocks; in
     # time order it is lfilter on the same drive: equal at beta = 0, where
@@ -230,7 +228,7 @@ def test_blocked_variance_kernel_matches_public_lfilter(steps, beta, gamma):
     y = simulate_qgarch(NIKKEI, steps + 1, 1.0, seed=steps).values
     rows = _drive_rows(y, y * y)
     assert rows.shape == (3, _BLOCK, -(-steps // _BLOCK)) and rows.flags.c_contiguous
-    omega, alpha, s1 = 0.06219, 0.07872, 1.3
+    omega, alpha, s1 = NIKKEI.omega, NIKKEI.alpha, 1.3
     drive = in_time_order(np.array((omega, alpha, gamma)).dot(rows.reshape(3, -1)).reshape(rows.shape[1:]), steps)
     want = lfilter([1.0], [1.0, -beta], drive, zi=[beta * s1])[0]
     tail = _variance_tail(rows, steps, omega, alpha, beta, gamma, s1)
@@ -245,7 +243,7 @@ def test_blocked_variance_kernel_matches_public_lfilter(steps, beta, gamma):
 
 
 @pytest.mark.parametrize("n", [2, 250, 2700, 20000])
-@pytest.mark.parametrize("gamma", [0.0, -0.12403])
+@pytest.mark.parametrize("gamma", [0.0, NIKKEI.gamma])
 def test_product_drive_matches_the_ufunc_expression(n, gamma):
     # At beta = 0 the kernel returns its drive as it is, so this compares
     # the product with the rows against omega + gamma*y + alpha*y^2 formed
@@ -281,7 +279,7 @@ def test_blocked_closure_matches_the_reference_likelihood(steps, beta):
 
 @pytest.mark.parametrize("n", [1, 2, 2700, _SCAN_MIN + 1, 20000])
 @pytest.mark.parametrize(
-    "params", [NIKKEI, ModelParams(0.03004, 0.09198, 0.89564, 0.0, ModelKind.GARCH)], ids=["qgarch", "garch"]
+    "params", [NIKKEI, ModelParams(*reference.FITS["dax"][:3], 0.0, ModelKind.GARCH)], ids=["qgarch", "garch"]
 )
 def test_simulated_returns_over_kernel_volatility_are_the_seeded_innovations(params, n):
     # The simulator's scalar recursion and the likelihood's kernel are two
@@ -305,8 +303,9 @@ def test_simulated_variance_rounding_below_zero_on_the_support_boundary_is_a_dom
 def test_log_posterior_fn_rejects_wrong_dimension():
     y = ReturnSeries(np.array([0.1, -0.1]))
     fn = log_posterior_fn(y, ModelKind.QGARCH, 1.0)
-    with pytest.raises(DomainError):
-        fn(np.array([0.1, 0.1, 0.5]))
+    for theta in (np.array([0.1, 0.1, 0.5]), np.full((4, 1), 0.1)):
+        with pytest.raises(DomainError, match=re.escape(f"got shape {theta.shape}")):
+            fn(theta)
 
 
 def test_garch_kind_uses_three_parameters():
@@ -320,7 +319,7 @@ def test_garch_kind_uses_three_parameters():
 
 def test_unconditional_variance():
     assert unconditional_variance(ModelParams(1.0, 0.0, 0.0, 0.0)) == 1.0
-    expected = 0.06219 / (1.0 - 0.07872 - 0.89390)
+    expected = NIKKEI.omega / (1.0 - NIKKEI.alpha - NIKKEI.beta)
     assert unconditional_variance(NIKKEI) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(2.2714, abs=5e-4)
     with pytest.raises(DomainError):

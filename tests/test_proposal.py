@@ -13,6 +13,8 @@ from garchmc import (
     estimate_moments,
 )
 
+import reference
+
 
 def test_estimate_moments_two_point():
     moments = estimate_moments([[0.0], [2.0]])
@@ -40,18 +42,6 @@ def test_estimate_moments_symmetric_by_construction():
     np.testing.assert_array_equal(moments.second_central, moments.second_central.T)
 
 
-def fsum_moments(arr):
-    """Two-pass mean and N-1 covariance with exactly rounded sums."""
-    rows = arr.tolist()
-    n, p = len(rows), len(rows[0])
-    mean = [math.fsum(r[i] for r in rows) / n for i in range(p)]
-    cov = [
-        [math.fsum((r[i] - mean[i]) * (r[j] - mean[j]) for r in rows) / (n - 1) for j in range(p)]
-        for i in range(p)
-    ]
-    return np.array(mean), np.array(cov)
-
-
 def draws_with_offset_column(rng, n=3001):
     # Column 2 sits at 1e6 +- 1e-3: a one-pass E[x^2] - E[x]^2 would lose
     # every digit of its variance.
@@ -70,7 +60,7 @@ def test_estimate_moments_matches_fsum_oracle(layout):
     before = arr.copy()
     got = estimate_moments(arr)
     np.testing.assert_array_equal(arr, before)
-    want_mean, want_cov = fsum_moments(arr)
+    want_mean, want_cov = reference.fsum_moments(arr)
     # Errors relative to each column's mean magnitude and to the
     # covariance's natural scale sqrt(V_ii V_jj).
     mean_scale = np.mean(np.abs(arr), axis=0)

@@ -20,7 +20,7 @@ from garchmc import (
 
 import reference
 
-TRUE = ModelParams(0.06219, 0.07872, 0.89390, -0.12403, ModelKind.QGARCH)
+TRUE = ModelParams(*reference.FITS["nikkei225"], ModelKind.QGARCH)
 
 
 def small_returns(seed=100, n=400):
@@ -199,42 +199,6 @@ def test_run_adaptive_garch_kind_three_columns():
     assert result.param_names == ("omega", "alpha", "beta")
 
 
-def grid_moments(theta, y, s1):
-    """Mean and covariance of the rows of theta weighted by their reference likelihood."""
-    # Blocks of at most 16k rows keep the recursion's vectors in cache.
-    blocks = np.array_split(theta, len(theta) // 16384 + 1)
-    log_density = np.concatenate([reference.log_likelihood(block, y, s1)[0] for block in blocks])
-    w = np.exp(log_density - log_density.max())
-    w /= w.sum()
-    mean = w @ theta
-    centered = theta - mean
-    return mean, (w * centered.T) @ centered
-
-
-def mesh(*axes):
-    """Every combination of the axes' points, one row each."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-
-
-def quadrature_mean(y, s1, kind, box, grids, half_width):
-    """The flat-prior posterior mean by a midpoint rule on the reference likelihood.
-
-    A box of `box` points per axis over the support (|gamma| <= 2 sqrt(alpha
-    omega) < 2 sqrt(2 s1)) gives a first mean and covariance; each size in
-    `grids` then places that many points per axis along the posterior's
-    axes, mean + L z with |z_i| <= half_width and L L' the covariance.
-    """
-    u = (np.arange(box) + 0.5) / box
-    axes = [2.0 * s1 * u, u, u, 2.0 * math.sqrt(2.0 * s1) * (2.0 * u - 1.0)][: len(kind.param_names)]
-    theta = mesh(*axes)
-    mean, cov = grid_moments(theta, y, s1)
-    for m in grids:
-        z = half_width * ((np.arange(m) + 0.5) / (m / 2) - 1.0)
-        theta = mean + mesh(*[z] * len(axes)) @ np.linalg.cholesky(cov).T
-        mean, cov = grid_moments(theta, y, s1)
-    return mean
-
-
 # 80^3 and 100^3 GARCH grids move no mean by more than 0.006 posterior SD
 # from the 60^3 one, and a third, 26^4 QGARCH grid none by more than 0.006
 # from the second 20^4 one.
@@ -247,7 +211,7 @@ def test_run_adaptive_matches_quadrature_posterior(params, s0, n, box, grids, ha
     returns = simulate_qgarch(params, n, s0, seed=1)
     y = returns.values
     s1 = float(np.var(y, ddof=1))
-    mean = quadrature_mean(y, s1, params.kind, box, grids, half_width)
+    mean = reference.quadrature_mean(y, s1, len(params.kind.param_names), box, grids, half_width)
 
     config = ChainConfig(kind=params.kind, burn_in=1000, initial_pool=500, update_interval=500,
                          total_samples=20_000, seed=1, sigma1_sq=s1)
