@@ -108,6 +108,8 @@ def run(args: argparse.Namespace) -> diagnostics.SummaryReport:
         raise DomainError(f"run needs --samples >= {diagnostics.MIN_SAMPLES}, got {config.total_samples}")
     if not -np.inf < args.nic_min < args.nic_max < np.inf:
         raise DomainError(f"news-impact grid needs finite min < max, got [{args.nic_min}, {args.nic_max}]")
+    if not args.nic_max - args.nic_min < np.inf:
+        raise DomainError(f"news-impact grid span max - min = {args.nic_max} - ({args.nic_min}) overflows a float")
     if args.nic_points < 2:
         raise DomainError(f"news-impact grid needs at least 2 points, got {args.nic_points}")
     # Built now, so a grid numpy cannot allocate fails before the input is read.

@@ -195,6 +195,27 @@ def _variance_tail(
     return sig
 
 
+# A product of _BLOCK variances of at least this much stays a normal float: 2^-1016.
+_LOG_FLOOR = 2.0**-127
+
+
+def _log_sum(sig: np.ndarray) -> float:
+    """The sum of log sigma2 over a `_variance_tail` result, pad cells (1.0) included.
+
+    In the blocked layout each block's variances are multiplied first, so
+    the sum takes one log per block, not per step.  That is only exact up
+    to rounding while every product is a finite normal float, which holds
+    when every variance is at least _LOG_FLOOR and no product overflows;
+    otherwise, and in the serial layout, it takes one log per step.
+    """
+    if sig.ndim == 2 and np.minimum.reduce(sig, None) >= _LOG_FLOOR:  # NaN fails this
+        total = np.add.reduce(np.log(np.multiply.reduce(sig, axis=0)))
+        # Each product is positive, so the total is finite unless one overflowed.
+        if math.isfinite(total):
+            return total
+    return np.add.reduce(np.log(sig), None)
+
+
 def allocate(shape: tuple[int, ...], what: str, order: str = "C") -> np.ndarray:
     """`np.empty(shape)` of floats, or a DomainError naming `what` and the bytes if numpy cannot allocate it."""
     try:
@@ -348,7 +369,7 @@ def log_posterior_fn(
             return -math.inf
         sig_tail = _variance_tail(rows, steps, omega, alpha, beta, gamma, s1)
         # np.add.reduce over all axes is the pairwise sum of ndarray.sum without its Python shim.
-        ll = -0.5 * (const + np.add.reduce(np.log(sig_tail), None) + np.add.reduce(y_sq_tail / sig_tail, None))
+        ll = -0.5 * (const + _log_sum(sig_tail) + np.add.reduce(y_sq_tail / sig_tail, None))
         # Exact-boundary parameters can drive a variance to zero, which
         # shows up as inf/nan here; treat it as a rejection.
         return float(ll) if math.isfinite(ll) else -math.inf

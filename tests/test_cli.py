@@ -433,6 +433,7 @@ def test_run_flags_set_every_chain_config_field(monkeypatch, tmp_path):
     ("--model", "garch", "--initial-pool", "3"),
     ("--nic-max", "inf"),
     ("--nic-min=-inf",),
+    ("--nic-min=-1e308", "--nic-max", "1e308"),
     ("--burn-in", "0"),
     ("--update-interval", "0"),
     # numpy refuses these grids outright (8 PB, and a length past its index type).
@@ -440,7 +441,7 @@ def test_run_flags_set_every_chain_config_field(monkeypatch, tmp_path):
     ("--nic-points", str(2**63)),
 ], ids=["infinite-nu", "overflowing-nu", "nu-above-ceiling", "one-nic-point", "reversed-nic-grid",
         "infinite-sigma1-sq", "zero-sigma1-sq", "negative-freeze-after", "negative-seed", "one-state-pool", "rank-deficient-qgarch-pool",
-        "rank-deficient-garch-pool", "infinite-nic-max", "infinite-nic-min",
+        "rank-deficient-garch-pool", "infinite-nic-max", "infinite-nic-min", "overflowing-nic-span",
         "no-burn-in", "no-update-interval", "nic-points-too-many-to-hold", "nic-points-past-numpy-index"])
 def test_bad_run_flags_are_data_errors_before_the_input_is_read(tmp_path, flags):
     code, err, out = run(tmp_path, "--input", str(tmp_path / "never-read.csv"), *flags)

@@ -123,18 +123,24 @@ def test_garch_is_qgarch_with_gamma_zero():
 
 
 def test_log_likelihood_scaling_covariance():
-    # Scaling y by c with (omega, gamma, sigma1) -> (c^2 omega, c gamma, c^2 sigma1)
-    # shifts the log-likelihood by exactly -n ln c.
+    # Scaling y by c = 2^k with (omega, gamma, sigma1) -> (c^2 omega, c gamma, c^2 sigma1)
+    # scales every variance by exactly c^2, so it shifts the log-likelihood
+    # by -n k ln 2, in either layout.  Around unit-scale variances the
+    # blocked layout's products of _BLOCK of them overflow at c = 2^70,
+    # underflow to zero at 2^-80 and fall among the subnormals at 2^-66.
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        params = random_support_params(rng)
-        y = rng.standard_normal(150)
-        s1 = rng.uniform(0.5, 2.0)
-        c = rng.uniform(0.3, 4.0)
-        scaled = ModelParams(c * c * params.omega, params.alpha, params.beta, c * params.gamma)
-        base = log_likelihood(params, ReturnSeries(y), s1)
-        shifted = log_likelihood(scaled, ReturnSeries(c * y), c * c * s1)
-        assert shifted - base == pytest.approx(-y.size * math.log(c), abs=1e-9)
+    s1 = 1.3
+    for n in (150, _SCAN_MIN + 1, 20000):
+        y = rng.standard_normal(n)
+        points = [HANG_SENG, NIKKEI, *(random_support_params(rng) for _ in range(4))]
+        base = [log_likelihood(params, ReturnSeries(y), s1) for params in points]
+        for k in (-80, -66, -2, 3, 70):
+            c = 2.0**k
+            scaled = [ModelParams(c * c * p.omega, p.alpha, p.beta, c * p.gamma) for p in points]
+            _, magnitudes = reference.log_likelihood([p.as_vector() for p in scaled], c * y, c * c * s1)
+            for params, want, scale in zip(scaled, base, magnitudes):
+                shifted = log_likelihood(params, ReturnSeries(c * y), c * c * s1)
+                assert abs(shifted - (want - n * k * math.log(2.0))) <= 1e-12 * scale, (n, k, params)
 
 
 def test_log_posterior_equals_likelihood_on_support():
@@ -171,29 +177,48 @@ def test_returns_whose_squares_overflow_are_a_domain_error(sigma1_sq):
         volatility_path(NIKKEI, y, sigma1_sq)
 
 
-def test_overflowing_variance_path_is_minus_inf_without_warning():
-    # omega + alpha * y^2 overflows at the first step though every y^2 is
-    # finite: a numerical rejection, not a warning.
-    params = ModelParams(1e308, 0.9, 0.05, 0.0, ModelKind.GARCH)
-    y = ReturnSeries(np.array([1e154, 1.0, -1.0, 2.0]))
+def long_series_with(n, y_bad):
+    """n standard normal returns, but y_bad at a step whose variance sits mid-block in the blocked layout."""
+    y = np.random.default_rng(n).standard_normal(n)
+    # y[t] drives the kernel's variance t, at blocked-layout cell [t % _BLOCK, t // _BLOCK].
+    y[300 * _BLOCK + _BLOCK // 2] = y_bad
+    return ReturnSeries(y)
+
+
+# omega + alpha * y^2 overflows at y = 1e154 though every y^2 is finite.
+OVERFLOWING = ModelParams(1e308, 0.9, 0.05, 0.0, ModelKind.GARCH)
+# On the support boundary gamma^2 = 4 alpha omega with beta = 0, the
+# return y = -gamma / (2 alpha) = 2 gives a variance of exactly zero.
+BOUNDARY = ModelParams(1.0, 0.25, 0.0, -1.0)
+
+
+def test_variance_path_that_overflows_or_reaches_zero_is_minus_inf_without_warning():
+    # A numerical rejection, not a warning, in either layout; on long
+    # series the variance goes bad in the middle of a block.
+    cases = [(OVERFLOWING, ReturnSeries(np.array([1e154, 1.0, -1.0, 2.0]))), (BOUNDARY, ReturnSeries(np.array([2.0, 1.0])))]
+    for n in (_SCAN_MIN + 1, 20000):
+        cases += [(OVERFLOWING, long_series_with(n, 1e154)), (BOUNDARY, long_series_with(n, 2.0))]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert log_posterior_fn(y, ModelKind.GARCH, 1.0)(params.as_vector()) == -math.inf
-        assert log_likelihood(params, y, 1.0) == -math.inf
+        for params, y in cases:
+            assert log_posterior_fn(y, params.kind, 1.0)(params.as_vector()) == -math.inf
+            assert log_likelihood(params, y, 1.0) == -math.inf
+        # Without the bad return the long series' likelihood is finite; at
+        # OVERFLOWING every product of _BLOCK variances still overflows.
+        for params in (OVERFLOWING, BOUNDARY):
+            assert math.isfinite(log_likelihood(params, long_series_with(20000, 1.0), 1.0))
     assert not caught
 
 
 def test_volatility_path_names_overflow_apart_from_a_zero_variance():
     # The path overflows to inf and then NaN: a DomainError that says so,
     # without a numpy warning, not "reached zero".
-    overflowing = ModelParams(1e308, 0.9, 0.05, 0.0, ModelKind.GARCH)
-    with pytest.raises(DomainError, match="not finite"):
-        volatility_path(overflowing, ReturnSeries(np.array([1e154, 1.0, -1.0, 2.0])), 1.0)
-    # On the support boundary gamma^2 = 4 alpha omega with beta = 0, the
-    # return y = -gamma / (2 alpha) = 2 gives a variance of exactly zero.
-    boundary = ModelParams(1.0, 0.25, 0.0, -1.0)
-    with pytest.raises(DomainError, match="reached zero"):
-        volatility_path(boundary, ReturnSeries(np.array([2.0, 1.0])), 1.0)
+    for y in (ReturnSeries(np.array([1e154, 1.0, -1.0, 2.0])), long_series_with(_SCAN_MIN + 1, 1e154)):
+        with pytest.raises(DomainError, match="not finite"):
+            volatility_path(OVERFLOWING, y, 1.0)
+    for y in (ReturnSeries(np.array([2.0, 1.0])), long_series_with(_SCAN_MIN + 1, 2.0)):
+        with pytest.raises(DomainError, match="reached zero"):
+            volatility_path(BOUNDARY, y, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 250, 2700, _SCAN_MIN])
