@@ -195,8 +195,9 @@ def _variance_tail(
     return sig
 
 
-# A product of _BLOCK variances of at least this much stays a normal float: 2^-1016.
-_LOG_FLOOR = 2.0**-127
+# Every partial product of _BLOCK variances of at least this much is a
+# normal float: 2^-127 and at least 2^-1016 for blocks of 8.
+_LOG_FLOOR = 2.0 ** -(1022 // _BLOCK)
 
 
 def _log_sum(sig: np.ndarray) -> float:
