@@ -5,7 +5,9 @@ warm-up discards `burn_in` sweeps and keeps `initial_pool` states, from
 which the first Student-t proposal is fitted.  The main phase is an
 independence Metropolis-Hastings chain; every `update_interval` draws the
 proposal's (M, Sigma) are re-fitted from all samples accumulated so far
-(pool included) so the proposal tracks the posterior it is feeding.
+(pool included) so the proposal tracks the posterior it is feeding.  Each
+re-fit merges the window's draws into the previous window's moments, so it
+reads only that window.
 """
 
 from __future__ import annotations
@@ -200,9 +202,10 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     names = config.kind.param_names
     p = len(names)
 
-    # Pool and adaptive draws share one buffer, so each re-fit reads every
-    # draw so far from one slice.  Column-major: each parameter's history
-    # is contiguous, the layout `estimate_moments` copies the slice into.
+    # Pool and adaptive draws share one buffer, so each re-fit describes
+    # every draw so far by one slice, of which `estimate_moments` reads only
+    # the rows its previous estimate does not cover.  Column-major: each
+    # parameter's window is contiguous, the layout it copies those rows into.
     # It is allocated first, so a schedule too long to hold fails before
     # the warm-up.
     n_pool, total, interval = config.initial_pool, config.total_samples, config.update_interval
@@ -229,7 +232,8 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     n_windows = math.ceil(total / interval)
 
     # Each window draws from one fixed proposal.  At the window's end the
-    # proposal is re-fitted from every draw so far, unless it is frozen.
+    # moments of every draw so far are updated with the window's draws, and
+    # the proposal is re-fitted from them, unless it is frozen.
     for start in range(0, total, interval):
         end = min(start + interval, total)
         accepts = 0
@@ -240,7 +244,7 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
             store[row] = x
             accepts += accepted
         acceptance.append(accepts / (end - start))
-        moments = estimate_moments(store[: n_pool + end])
+        moments = estimate_moments(store[: n_pool + end], moments)
         frozen = config.freeze_after is not None and end >= config.freeze_after
         if not frozen:
             proposal = build_proposal(moments, config.nu)

@@ -43,22 +43,37 @@ def test_estimate_moments_symmetric_by_construction():
 
 
 def draws_with_offset_column(rng, n=3001):
-    # Column 2 sits at 1e6 +- 1e-3: a one-pass E[x^2] - E[x]^2 would lose
+    # Column 2 sits at 1e6 +- 0.1: a one-pass E[x^2] - E[x]^2 would lose
     # every digit of its variance.
     base = rng.standard_normal((n, 3)) @ np.array([[1.0, 0.3, 0.0], [0.0, 2.0, 0.1], [0.0, 0.0, 1e-3]])
     base[:, 2] += 1e6
     return base
 
 
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_estimate_moments_matches_fsum_oracle(layout):
+def estimate_in_windows(arr, window):
+    """One call over all of arr, or a 1000-row estimate merged with the rest `window` rows at a time."""
+    if window is None:
+        return estimate_moments(arr)
+    got = estimate_moments(arr[:1000])
+    for end in range(1000 + window, len(arr) + window, window):
+        got = estimate_moments(arr[:end], got)
+    assert got.count == len(arr)
+    return got
+
+
+@pytest.mark.parametrize(
+    "layout, window",
+    [("C", None), ("F", None), ("strided", None), ("F", 100), ("C", 1), ("F", 700)],
+    ids=["C", "F", "strided", "merged-by-100", "merged-by-1", "merged-uneven-last"],
+)
+def test_estimate_moments_matches_fsum_oracle(layout, window):
     arr = draws_with_offset_column(np.random.default_rng(21))
     if layout == "F":
         arr = np.asfortranarray(arr)
     elif layout == "strided":
         arr = arr[::3]
     before = arr.copy()
-    got = estimate_moments(arr)
+    got = estimate_in_windows(arr, window)
     np.testing.assert_array_equal(arr, before)
     want_mean, want_cov = reference.fsum_moments(arr)
     # Errors relative to each column's mean magnitude and to the
@@ -70,13 +85,44 @@ def test_estimate_moments_matches_fsum_oracle(layout):
     np.testing.assert_array_equal(got.second_central, got.second_central.T)
 
 
-def test_estimate_moments_overflow_is_non_finite_without_warning():
+@pytest.mark.parametrize("finite_rows", [0, 25], ids=["one-shot", "merged"])
+def test_estimate_moments_overflow_is_non_finite_without_warning(finite_rows):
     # The suite turns warnings into errors; build_proposal rejects the result.
+    # Merged, a finite estimate of the first rows meets rows that overflow.
     draws = np.random.default_rng(22).standard_normal((50, 2)) * 1e300
-    moments = estimate_moments(draws)
+    draws[:finite_rows] *= 1e-300
+    previous = estimate_moments(draws[:finite_rows]) if finite_rows else None
+    assert previous is None or np.all(np.isfinite(previous.second_central))
+    moments = estimate_moments(draws, previous)
     assert not np.all(np.isfinite(moments.second_central))
     with pytest.raises(DegenerateCovarianceError, match="not finite"):
         build_proposal(moments, nu=10.0)
+
+
+def test_estimate_moments_merge_reads_only_the_rows_previous_lacks():
+    arr = draws_with_offset_column(np.random.default_rng(23))
+    previous = estimate_moments(arr[:1000])
+    assert estimate_moments(arr[:1000], previous) is previous
+    want = estimate_moments(arr, previous)
+    arr[:1000] = np.nan
+    got = estimate_moments(arr, previous)
+    np.testing.assert_array_equal(got.mean, want.mean)
+    np.testing.assert_array_equal(got.second_central, want.second_central)
+
+
+@pytest.mark.parametrize(
+    "make_previous, match",
+    [
+        (lambda arr: estimate_moments(arr[:10, :2]), "previous estimate has dimension 2, samples have 3"),
+        (lambda arr: estimate_moments(np.vstack([arr, arr])), "previous estimate covers 100 rows, samples have only 50"),
+        (lambda arr: MomentEstimate(np.zeros(3), np.eye(3)), "previous estimate has no merge state"),
+    ],
+    ids=["other-dimension", "more-rows", "hand-built"],
+)
+def test_estimate_moments_rejects_a_previous_that_cannot_describe_the_prefix(make_previous, match):
+    arr = np.random.default_rng(24).standard_normal((50, 3))
+    with pytest.raises(DomainError, match=match):
+        estimate_moments(arr, make_previous(arr))
 
 
 @pytest.mark.parametrize(

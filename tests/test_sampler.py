@@ -157,6 +157,16 @@ def test_run_adaptive_shapes_and_traces():
         assert snap.second_central.shape == (4, 4)
 
 
+def test_run_adaptive_snapshots_share_no_memory():
+    # The running moments are merged window by window; an estimate updated
+    # in place would rewrite the earlier snapshots that moments.json records.
+    trace = run_adaptive(small_config(total_samples=250), small_returns()).moment_trace
+    arrays = [(i, a) for i, snap in enumerate(trace) for a in vars(snap).values() if isinstance(a, np.ndarray)]
+    for i, a in arrays:
+        for j, b in arrays:
+            assert i == j or not np.shares_memory(a, b)
+
+
 def test_run_adaptive_contains_exact_repeats():
     result = run_adaptive(small_config(), small_returns())
     repeats = np.all(result.samples[1:] == result.samples[:-1], axis=1)
