@@ -43,6 +43,23 @@ MIN_SAMPLES = 2 * JACKKNIFE_BLOCKS
 ACF_MAX_LAG = 200
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT factors into radix-2, -3 and -5 passes.
+
+    Each 3^b * 5^c below the best length so far offers its least
+    power-of-two multiple >= n.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def acf(series, max_lag: int) -> np.ndarray:
     """Normalized autocorrelation function for lags 0..max_lag.
 
@@ -50,6 +67,15 @@ def acf(series, max_lag: int) -> np.ndarray:
     the sum over the N-t overlapping pairs and sigma_x^2 the full-series
     variance, so ACF(0) == 1.  A NaN or infinite entry is a DomainError
     naming the first one.
+
+    The sums come from one FFT of the centred series, zero-padded to the
+    smallest 5-smooth length >= N + max_lag: circular correlation at that
+    length wraps no lag up to max_lag, and numpy's FFT factors a 5-smooth
+    length without falling back to Bluestein's algorithm.  Lags to N/2, as
+    `summarize` asks, pad to about 1.5N points, where a power of two >= 2N
+    would take 2N to 4N.  With the power spectrum kept real and each buffer
+    dropped once used, the call holds about 3 columns of N floats in numpy
+    arrays at its peak, against about 9 with that power of two.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -65,12 +91,19 @@ def acf(series, max_lag: int) -> np.ndarray:
     centered = x - x.mean()
     if float(centered @ centered) == 0.0:
         raise DegenerateSeriesError("series variance is zero")
-    # Zero padding to a power of two >= 2N gives all overlapping-pair sums
-    # in O(N log N) without wrap-around, and never hits a slow FFT length.
-    nfft = 1 << (2 * n - 1).bit_length()
+    nfft = _smooth_length(n + max_lag)
     spectrum = np.fft.rfft(centered, nfft)
-    corr = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1]
-    return corr / corr[0]
+    del centered
+    power = spectrum.real**2 + spectrum.imag**2
+    del spectrum
+    # A power spectrum is real and even, so its inverse transform is its
+    # forward one over nfft.  Transforming the mirrored spectrum forward
+    # skips `irfft`, which before numpy 2 pads its input to nfft complex
+    # points; the 1/nfft cancels in the normalization.
+    power = np.concatenate((power, power[(nfft - 1) // 2 : 0 : -1]))
+    corr = np.fft.rfft(power).real
+    del power
+    return corr[: max_lag + 1] / corr[0]
 
 
 def integrated_autocorr_time(series) -> tuple[float, float]:
@@ -205,16 +238,19 @@ def summarize(result, returns) -> SummaryReport:
         if np.all(col == col[0]):
             params[name] = ParamSummary(float(col[0]), 0.0, 0.0, math.nan, math.nan, math.nan)
             continue
-        # One ACF serves tau_int (lags 0..n // 2) and the table; it comes
-        # first, so a non-finite draw is its DomainError, before any warning.
-        rho = acf(col, max(n // 2, len(acfs) - 1))
+        # tau_int takes the ACF `integrated_autocorr_time` takes, lags
+        # 0..n // 2: the FFT length follows the lags, and the last bits with
+        # it.  From 2 * ACF_MAX_LAG draws on the same ACF fills the table.
+        # It comes first, so a non-finite draw is its DomainError, before
+        # any warning.
+        rho = acf(col, n // 2)
         mean = float(col.mean())
         sd = float(col.std(ddof=1))
         se = jackknife_se(col)
-        tau, tau_err = _tau_from_acf(rho[: n // 2 + 1], n)
+        tau, tau_err = _tau_from_acf(rho, n)
         ideal = math.sqrt(2.0 * tau / n) * sd
         params[name] = ParamSummary(mean, sd, se, 2.0 * tau, 2.0 * tau_err, se / ideal)
-        acfs[:, j] = rho[: len(acfs)]
+        acfs[:, j] = rho[: len(acfs)] if len(rho) >= len(acfs) else acf(col, len(acfs) - 1)
     trace = np.asarray(result.acceptance_trace, dtype=float)
     plateau = float(trace[-10:].mean()) if trace.size else math.nan
     return SummaryReport(

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from garchmc import (
     jackknife_se,
     summarize,
 )
-from garchmc.diagnostics import MIN_SAMPLES
+from garchmc.diagnostics import MIN_SAMPLES, _smooth_length
 
 import reference
 
@@ -40,13 +41,51 @@ def test_acf_lag_zero_is_one_exactly():
         assert acf(rng.standard_normal(n), max_lag=min(20, n - 1))[0] == 1.0
 
 
-# Only N = 500 has a 5-smooth 2N; 499, 170 and the prime 1009 do not, and
-# each pads to a power of two above 2N.
+# None of N + 20 is 5-smooth here, so each pads past N + 20: to 540, 540,
+# 192 and 1080 points.
 @pytest.mark.parametrize("n", [500, 499, 170, 1009])
 def test_acf_matches_direct_summation(n):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(n).cumsum()  # strongly correlated series
     np.testing.assert_allclose(acf(x, 20), reference.naive_acf(x, 20), rtol=1e-9, atol=1e-12)
+
+
+# N + max_lag is the shortest padding with no wrap-around at lag max_lag.
+# 150 is 5-smooth and is the FFT length itself; 201 pads to 216, where a
+# pad to N + max_lag - 1 = 200 would wrap lag 100; the prime 1009 with lags
+# to N // 2 pads 1513 to 1536; 135 is an odd length, whose spectrum mirrors
+# one bin more than an even one's.
+@pytest.mark.parametrize("n, max_lag", [(100, 50), (101, 100), (1009, 504), (90, 45)])
+def test_acf_matches_direct_summation_up_to_the_padding_edge(n, max_lag):
+    x = np.random.default_rng(2).standard_normal(n).cumsum()
+    np.testing.assert_allclose(acf(x, max_lag), reference.naive_acf(x, max_lag), rtol=1e-9, atol=1e-12)
+
+
+def test_fft_length_is_the_smallest_5_smooth_length_at_least_n():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 3000):
+        length = _smooth_length(n)
+        assert length >= n and smooth(length)
+        assert not any(smooth(m) for m in range(n, length))
+
+
+def test_acf_peaks_below_five_columns_of_numpy_memory():
+    # A power-of-two pad >= 2N with a complex power spectrum peaks near 9
+    # columns here; lags to N // 2 are what `summarize` asks for.
+    n = 100_000
+    x = np.random.default_rng(6).standard_normal(n).cumsum()
+    tracemalloc.start()
+    try:
+        acf(x, n // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n
 
 
 def test_acf_white_noise_band():
