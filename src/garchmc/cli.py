@@ -76,8 +76,10 @@ def _write_acceptance_csv(path: Path, result: ChainResult) -> None:
 
 
 def _write_moments_json(path: Path, result: ChainResult, nu: float) -> None:
+    """The bytes of `json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"`, streamed one token at a time."""
     payload = {"nu": nu, "snapshots": [vars(s) for s in result.moment_trace]}
-    _atomic_write(path, [json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"])
+    chunks = json.JSONEncoder(indent=2, default=np.ndarray.tolist).iterencode(payload)
+    _atomic_write(path, itertools.chain(chunks, ["\n"]))
 
 
 def write_news_impact_csv(path: Path, params: model.ModelParams, grid: Sequence[float]) -> None:

@@ -17,13 +17,16 @@ __all__ = [
     "to_returns",
 ]
 
+import array
+import contextlib
 import csv
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterator, Union
 
 import numpy as np
 
@@ -73,17 +76,30 @@ class ReturnSeries:
         return self.values.size
 
 
-def _read_rows(source: Source) -> list[list[str]]:
+@contextlib.contextmanager
+def _open_text(source: Source) -> Iterator[IO[str]]:
+    """`source` as text that `csv.reader` ends rows in at "\n", "\r\n" or "\r".
+
+    A path or a byte stream is decoded as it is read, a byte-order mark
+    dropped; a path is closed on exit, and a byte stream is left open.  A
+    text stream is already in memory: it is read whole and its mark, which
+    survived its decoding, is stripped here.  Bytes that are not UTF-8 are
+    a ParseError wherever the reader meets them.
+    """
     try:
-        text = Path(source).read_text(encoding="utf-8") if isinstance(source, (str, Path)) else source.read()
-        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        if isinstance(source, (str, Path)):
+            with open(source, encoding="utf-8-sig", newline="") as f:
+                yield f
+        elif isinstance(source.read(0), str):
+            yield io.StringIO(source.read().removeprefix("\ufeff"), newline="")
+        else:
+            text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+            try:
+                yield text
+            finally:
+                text.detach()
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text ({exc})") from None
-    # A byte-order mark survives a text stream's decoding, and only a path
-    # gets universal newlines from `read_text`, so strip the mark and
-    # translate "\r" and "\r\n" here for every kind of source.
-    text = text.removeprefix("\ufeff")
-    return [row for row in csv.reader(io.StringIO(text, newline=None)) if any(cell.strip() for cell in row)]
 
 
 def _parse_float(cell: str) -> float | None:
@@ -99,37 +115,42 @@ def _parse_float(cell: str) -> float | None:
 _INDEX = re.compile(r"\s*[+-]?\d+\s*")
 
 
-def _resolve_column(rows: list[list[str]], column: Union[str, int]) -> tuple[int, int]:
-    """Return (column index, first data row index), skipping a header row."""
-    first = rows[0]
+def _resolve_column(first: list[str], column: Union[str, int]) -> tuple[int, bool]:
+    """Return (column index, whether the first row is a header)."""
     if isinstance(column, str) and not _INDEX.fullmatch(column):
         header = [cell.strip() for cell in first]
         if column not in header:
             raise ParseError(f"column {column!r} not found in header {header}")
-        return header.index(column), 1
+        return header.index(column), True
     idx = int(column)
     if idx < 0 or idx >= len(first):
         raise ParseError(f"column index {idx} out of range for {len(first)} columns")
     # Header rows are detected by a non-numeric cell in the chosen column.
-    return idx, 0 if _parse_float(first[idx]) is not None else 1
+    return idx, _parse_float(first[idx]) is None
 
 
 def _load_column(source: Source, column: Union[str, int], positive: bool, noun: str) -> np.ndarray:
-    rows = _read_rows(source)
-    if not rows:
-        raise InsufficientDataError("input contains no rows")
-    idx, start = _resolve_column(rows, column)
-    values = np.empty(len(rows) - start)
-    for i, row in enumerate(rows[start:]):
-        if idx >= len(row):
-            raise ParseError(f"row {start + i + 1}: missing column {idx}")
-        value = _parse_float(row[idx])
-        if value is None:
-            raise ParseError(f"row {start + i + 1}: cannot parse {row[idx]!r} as a {noun}")
-        if not math.isfinite(value) or (positive and value <= 0.0):
-            raise ParseError(f"row {start + i + 1}: invalid {noun} {row[idx]!r}")
-        values[i] = value
-    return values
+    """The chosen column's values, parsed one row at a time; errors name the row's line in the file."""
+    with _open_text(source) as text:
+        reader = csv.reader(text)
+        rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
+        first = next(rows, None)
+        if first is None:
+            raise InsufficientDataError("input contains no rows")
+        idx, header = _resolve_column(first[1], column)
+        if not header:
+            rows = itertools.chain([first], rows)
+        values = array.array("d")
+        for line, row in rows:
+            if idx >= len(row):
+                raise ParseError(f"row {line}: missing column {idx}")
+            value = _parse_float(row[idx])
+            if value is None:
+                raise ParseError(f"row {line}: cannot parse {row[idx]!r} as a {noun}")
+            if not math.isfinite(value) or (positive and value <= 0.0):
+                raise ParseError(f"row {line}: invalid {noun} {row[idx]!r}")
+            values.append(value)
+    return np.frombuffer(values)
 
 
 def load_prices(source: Source, column: Union[str, int] = 0) -> PriceSeries:
@@ -146,7 +167,8 @@ def load_prices(source: Source, column: Union[str, int] = 0) -> PriceSeries:
     Raises
     ------
     ParseError
-        Non-numeric or non-positive price, naming the offending row.
+        Non-numeric or non-positive price, naming its line in the file
+        (blank lines and a header row counted).
     InsufficientDataError
         Fewer than two price rows.
     """

@@ -340,6 +340,29 @@ def test_write_csv_streams_rows(tmp_path):
     assert (tmp_path / "big.csv").read_bytes().count(b"\n") == 20_001
 
 
+def test_write_moments_json_streams_snapshots(tmp_path):
+    # 1000 snapshots, as many as a 100k-draw run refitting every 100 draws
+    # leaves: their indented JSON is 1.4 MB, and a writer that builds it as
+    # one string peaks at ~6 MB, far above this bound.
+    bound = 2**19
+    rng = np.random.default_rng(0)
+    snapshots = [
+        MomentSnapshot(t, rng.standard_normal(4), rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
+        for t in range(100, 100_001, 100)
+    ]
+    result = ChainResult(np.empty((0, 4)), ("omega", "alpha", "beta", "gamma"), np.empty(0), snapshots)
+    tracemalloc.start()
+    try:
+        cli._write_moments_json(tmp_path / "moments.json", result, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    payload = {"nu": 10.0, "snapshots": [vars(s) for s in snapshots]}
+    want = json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+    assert (tmp_path / "moments.json").read_bytes() == want.encode()
+
+
 @pytest.mark.parametrize("shape", [
     (0, 3),
     (1, 1),

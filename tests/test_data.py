@@ -1,6 +1,8 @@
+import gc
 import io
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -47,8 +49,11 @@ def test_load_prices_column_by_index():
 
 
 def test_load_prices_accepts_byte_stream():
-    series = load_prices(io.BytesIO(b"price\n100\n101\n99\n"))
+    stream = io.BytesIO(b"price\n100\n101\n99\n")
+    series = load_prices(stream)
     np.testing.assert_allclose(series.prices, [100.0, 101.0, 99.0])
+    gc.collect()  # the decoding wrapper is gone; the caller's stream stays open
+    assert not stream.closed
 
 
 def each_source(tmp_path, text):
@@ -100,6 +105,72 @@ def test_run_non_utf8_input_exits_3(tmp_path, capsys):
     assert main(["run", "--input", str(path), "--column", "close", "--out-dir", str(out)]) == 3
     assert "ParseError: input is not UTF-8 text" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Row 15 000 of 20 000 lies far past the first chunk a streaming reader decodes.
+DEEP_LATIN1_PRICES = b"".join(
+    b"close\n" if line == 1 else b"101\xe9\n" if line == 15_000 else b"%d\n" % (100 + line % 7)
+    for line in range(1, 20_001)
+)
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_load_prices_non_utf8_byte_deep_in_the_input_is_parse_error(tmp_path, kind):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(DEEP_LATIN1_PRICES)
+    source = path if kind == "path" else io.BytesIO(DEEP_LATIN1_PRICES)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_prices(source, "close")
+        gc.collect()  # an unclosed file would warn as it is collected
+    assert not caught
+
+
+def test_run_non_utf8_byte_deep_in_the_input_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(DEEP_LATIN1_PRICES)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--input", str(path), "--column", "close", "--out-dir", str(out)]) == 3
+        gc.collect()
+    assert not caught
+    assert "ParseError: input is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_load_returns_peaks_below_the_file_size(tmp_path, kind):
+    # Holding the decoded text and a list of cells per row peaks at 13 times
+    # this ~400 kB file; parsed row by row, the float buffer and the
+    # reader's chunk remain.
+    lines = ["return", *(format(v, ".17g") for v in np.random.default_rng(0).standard_normal(20_000))]
+    text = ("\n".join(lines) + "\n").encode()
+    path = tmp_path / "returns.csv"
+    path.write_bytes(text)
+    source = path if kind == "path" else io.BytesIO(text)
+    tracemalloc.start()
+    try:
+        values = load_returns(source).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text)
+    assert values.tobytes() == np.array([float(line) for line in lines[1:]]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "text"])
+@pytest.mark.parametrize("text, message", [
+    ("price\n100\n\n\n101\nabc\n", "row 6: cannot parse 'abc' as a price"),
+    ("price\r100\r\r\r101\rabc\r", "row 6: cannot parse 'abc' as a price"),
+    ("\r\n\r\n100\r\n101\r\n\r\n-5\r\n", "row 6: invalid price '-5'"),
+    ("\ufeffdate,close\r1,100\r\r2\r3,101\r", "row 4: missing column 1"),
+], ids=["lf-unparsable", "cr-unparsable", "crlf-non-positive", "cr-missing-column"])
+def test_load_prices_error_names_the_line_in_the_file(tmp_path, text, message, kind):
+    # Blank lines and the header count, as an editor numbers the file's lines.
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_prices(each_source(tmp_path, text)[kind], "close" if "close" in text else 0)
 
 
 def test_load_prices_bad_cell_names_row():
