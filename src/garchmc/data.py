@@ -129,11 +129,28 @@ def _resolve_column(first: list[str], column: Union[str, int]) -> tuple[int, boo
     return idx, _parse_float(first[idx]) is None
 
 
+def _rows(text: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line the row starts on, cells) for each non-blank row of `text`.
+
+    A quoted cell may run over several lines; a reader error, such as a
+    cell longer than `csv.field_size_limit()`, is a ParseError naming the
+    line its row starts on.
+    """
+    reader = csv.reader(text)
+    start = 1
+    try:
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"row {start}: {exc}") from None
+
+
 def _load_column(source: Source, column: Union[str, int], positive: bool, noun: str) -> np.ndarray:
-    """The chosen column's values, parsed one row at a time; errors name the row's line in the file."""
+    """The chosen column's values, parsed one row at a time; errors name the line the row starts on."""
     with _open_text(source) as text:
-        reader = csv.reader(text)
-        rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
+        rows = _rows(text)
         first = next(rows, None)
         if first is None:
             raise InsufficientDataError("input contains no rows")
@@ -167,8 +184,9 @@ def load_prices(source: Source, column: Union[str, int] = 0) -> PriceSeries:
     Raises
     ------
     ParseError
-        Non-numeric or non-positive price, naming its line in the file
-        (blank lines and a header row counted).
+        Non-numeric or non-positive price, or a row the CSV reader
+        refuses, naming the line in the file its row starts on (blank
+        lines and a header row counted).
     InsufficientDataError
         Fewer than two price rows.
     """

@@ -68,14 +68,17 @@ def acf(series, max_lag: int) -> np.ndarray:
     variance, so ACF(0) == 1.  A NaN or infinite entry is a DomainError
     naming the first one.
 
-    The sums come from one FFT of the centred series, zero-padded to the
-    smallest 5-smooth length >= N + max_lag: circular correlation at that
-    length wraps no lag up to max_lag, and numpy's FFT factors a 5-smooth
-    length without falling back to Bluestein's algorithm.  Lags to N/2, as
-    `summarize` asks, pad to about 1.5N points, where a power of two >= 2N
-    would take 2N to 4N.  With the power spectrum kept real and each buffer
-    dropped once used, the call holds about 3 columns of N floats in numpy
-    arrays at its peak, against about 9 with that power of two.
+    Up to max_lag = ACF_MAX_LAG, the lags `summarize` reports, each lag is
+    summed directly over the centred series, which holds about one column
+    of N floats at the call's peak.  Past it the sums come from one FFT of
+    the centred series, zero-padded to the smallest 5-smooth length
+    >= N + max_lag: circular correlation at that length wraps no lag up to
+    max_lag, and numpy's FFT factors a 5-smooth length without falling back
+    to Bluestein's algorithm.  Lags to N/2 pad to about 1.5N points, where a
+    power of two >= 2N would take 2N to 4N.  With the power spectrum kept
+    real and each buffer dropped once used, the FFT holds about 3 columns
+    of N floats in numpy arrays at its peak, against about 9 with that
+    power of two.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -89,8 +92,14 @@ def acf(series, max_lag: int) -> np.ndarray:
     if np.all(x == x[0]):
         raise DegenerateSeriesError("constant series has no autocorrelation function")
     centered = x - x.mean()
-    if float(centered @ centered) == 0.0:
+    # einsum, not np.dot or np.correlate: those hand long vectors to a
+    # multithreaded BLAS whose workers then spin on idle cores.
+    energy = np.einsum("i,i->", centered, centered)
+    if energy == 0.0:
         raise DegenerateSeriesError("series variance is zero")
+    if max_lag <= ACF_MAX_LAG:
+        sums = [np.einsum("i,i->", centered[: n - t], centered[t:]) for t in range(1, max_lag + 1)]
+        return np.array([energy, *sums]) / energy
     nfft = _smooth_length(n + max_lag)
     spectrum = np.fft.rfft(centered, nfft)
     del centered
@@ -109,8 +118,10 @@ def acf(series, max_lag: int) -> np.ndarray:
 def integrated_autocorr_time(series) -> tuple[float, float]:
     """Windowed tau_int estimate and its statistical error.
 
-    Sums the ACF up to the smallest window W with W >= 6 * tau_int(W) and
-    reports the error as tau_int * sqrt(2 * (2W + 1) / N).  Raises
+    Sums the ACF up to the smallest window W <= N/2 with W >= 6 * tau_int(W)
+    and reports the error as tau_int * sqrt(2 * (2W + 1) / N).  The window
+    is searched first among the lags `summarize` reports, and only past
+    them, on the ACF to N/2, when none qualifies there.  Raises
     NonConvergenceError when no window qualifies, or when the chosen
     window's tau_int is not > 0 (a strongly anti-correlated series passes
     the rule at W = 1 with a negative tau_int, which has no error estimate).
@@ -119,23 +130,38 @@ def integrated_autocorr_time(series) -> tuple[float, float]:
     n = x.size
     if n < MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {MIN_SAMPLES} points for tau_int, got {n}")
-    return _tau_from_acf(acf(x, n // 2), n)
+    return _windowed_tau(x)[1:]
 
 
-def _tau_from_acf(rho: np.ndarray, n: int) -> tuple[float, float]:
-    """`integrated_autocorr_time` from the ACF of N draws at lags 0..N // 2."""
-    max_lag = n // 2
-    tau_at = 0.5 + np.cumsum(rho[1:])
-    windows = np.arange(1, max_lag + 1)
-    admissible = windows >= WINDOW_FACTOR * tau_at
+def _first_window(rho: np.ndarray, n: int) -> tuple[int, float] | None:
+    """Smallest W <= N // 2 among rho's lags with W >= 6 * tau_int(W), and tau_int(W); None if none."""
+    tau_at = 0.5 + np.cumsum(rho[1 : n // 2 + 1])
+    admissible = np.arange(1, tau_at.size + 1) >= WINDOW_FACTOR * tau_at
     if not admissible.any():
-        raise NonConvergenceError(f"no self-consistent window below N/2 = {max_lag}")
-    w = int(windows[np.argmax(admissible)])
-    tau = float(tau_at[w - 1])
+        return None
+    w = int(np.argmax(admissible)) + 1
+    return w, float(tau_at[w - 1])
+
+
+def _windowed_tau(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The ACF of x at lags 0..min(ACF_MAX_LAG, N - 1), tau_int and its error.
+
+    The smallest admissible window depends only on the ACF up to it, so the
+    ACF to N // 2 is taken only when no window lies within the first lags.
+    """
+    n = x.size
+    table_lag = min(ACF_MAX_LAG, n - 1)
+    rho = acf(x, table_lag)
+    found = _first_window(rho, n)
+    if found is None and n // 2 > table_lag:
+        found = _first_window(acf(x, n // 2), n)
+    if found is None:
+        raise NonConvergenceError(f"no self-consistent window below N/2 = {n // 2}")
+    w, tau = found
     if not tau > 0.0:
         raise NonConvergenceError(f"window W = {w} gives tau_int = {tau:.6g}, which is not > 0")
     error = tau * math.sqrt(2.0 * (2.0 * w + 1.0) / n)
-    return tau, error
+    return rho, tau, error
 
 
 def jackknife_se(series) -> float:
@@ -222,10 +248,14 @@ def summarize(result, returns) -> SummaryReport:
     For each parameter: the plain arithmetic mean of the draws, the sample
     SD, the block-jackknife SE, and 2*tau_int with its error, plus the
     ratio of the jackknife SE to sqrt(2*tau_int/N) * SD (which should sit
-    near 1), and its ACF up to lag min(ACF_MAX_LAG, N - 1).  A constant
-    column reports its value as the mean (the float average of identical
-    values can be off by an ulp), zero spread and NaN mixing stats and ACF.
-    A chain of fewer than MIN_SAMPLES draws is an InsufficientDataError.
+    near 1), and its ACF up to lag min(ACF_MAX_LAG, N - 1).  That one ACF
+    fills the table and holds the window search, which takes the ACF to
+    N/2 only for a parameter whose window lies past the table, so 2*tau_int
+    equals twice `integrated_autocorr_time` of the same draws exactly.  A
+    constant column reports its value as the mean (the float average of
+    identical values can be off by an ulp), zero spread and NaN mixing
+    stats and ACF.  A chain of fewer than MIN_SAMPLES draws is an
+    InsufficientDataError.
     """
     samples = np.asarray(result.samples, dtype=float)
     n = samples.shape[0]
@@ -238,19 +268,14 @@ def summarize(result, returns) -> SummaryReport:
         if np.all(col == col[0]):
             params[name] = ParamSummary(float(col[0]), 0.0, 0.0, math.nan, math.nan, math.nan)
             continue
-        # tau_int takes the ACF `integrated_autocorr_time` takes, lags
-        # 0..n // 2: the FFT length follows the lags, and the last bits with
-        # it.  From 2 * ACF_MAX_LAG draws on the same ACF fills the table.
-        # It comes first, so a non-finite draw is its DomainError, before
-        # any warning.
-        rho = acf(col, n // 2)
+        # The ACF comes first, so a non-finite draw is its DomainError,
+        # before any warning; its lags are the table's.
+        acfs[:, j], tau, tau_err = _windowed_tau(col)
         mean = float(col.mean())
         sd = float(col.std(ddof=1))
         se = jackknife_se(col)
-        tau, tau_err = _tau_from_acf(rho, n)
         ideal = math.sqrt(2.0 * tau / n) * sd
         params[name] = ParamSummary(mean, sd, se, 2.0 * tau, 2.0 * tau_err, se / ideal)
-        acfs[:, j] = rho[: len(acfs)] if len(rho) >= len(acfs) else acf(col, len(acfs) - 1)
     trace = np.asarray(result.acceptance_trace, dtype=float)
     plateau = float(trace[-10:].mean()) if trace.size else math.nan
     return SummaryReport(

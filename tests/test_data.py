@@ -173,6 +173,30 @@ def test_load_prices_error_names_the_line_in_the_file(tmp_path, text, message, k
         load_prices(each_source(tmp_path, text)[kind], "close" if "close" in text else 0)
 
 
+LONG_CELL_PRICES = "close\n100\n" + "1" * 200_000 + "\n102\n"  # past csv.field_size_limit()
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "text"])
+@pytest.mark.parametrize("text, message", [
+    (LONG_CELL_PRICES, "row 3: field larger than field limit"),
+    ('close\n100\n"101\n102\n', "row 3: cannot parse '101\\n102\\n' as a price"),
+    ('close\n"100\n"\n101\nabc\n', "row 5: cannot parse 'abc' as a price"),
+], ids=["long-cell", "unterminated-quote", "after-a-two-line-row"])
+def test_load_prices_reader_error_names_the_line_its_row_starts_on(tmp_path, text, message, kind):
+    # A quoted cell may span lines; the row is named by its first one.
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_prices(each_source(tmp_path, text)[kind], "close")
+
+
+def test_run_cell_past_the_field_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "long-cell.csv"
+    path.write_text(LONG_CELL_PRICES)
+    out = tmp_path / "o"
+    assert main(["run", "--input", str(path), "--column", "close", "--out-dir", str(out)]) == 3
+    assert "ParseError: row 3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_prices_bad_cell_names_row():
     with pytest.raises(ParseError, match="row 3"):
         load_prices(io.StringIO("100\n101\nabc\n"))

@@ -18,6 +18,7 @@ from garchmc import (
     jackknife_se,
     summarize,
 )
+from garchmc import diagnostics
 from garchmc.diagnostics import MIN_SAMPLES, _smooth_length
 
 import reference
@@ -270,3 +271,66 @@ def test_summarize_acf_table_to_last_lag_with_nan_for_a_constant_column():
         tau, tau_err = integrated_autocorr_time(col)
         assert report.params[name].two_tau_int == 2.0 * tau
         assert report.params[name].two_tau_int_error == 2.0 * tau_err
+
+
+def test_summarize_peaks_below_one_and_a_half_columns_when_windows_close_early():
+    # Windows near W = 10 lie within the table's 200 lags, so no column
+    # takes the ACF to N/2: its FFT alone peaks near 3 columns.
+    n = 100_000
+    samples = np.column_stack([reference.ar1(n, 0.5, seed=20 + j) for j in range(4)])
+    chain = fake_chain(samples, names=("a", "b", "c", "d"))
+    tracemalloc.start()
+    try:
+        summarize(chain, ReturnSeries(np.array([0.0, 1.0])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n
+
+
+def window_rule(rho):
+    """tau_int at the smallest W with W >= 6 * tau_int(W) among rho's lags."""
+    tau_at = 0.5 + np.cumsum(rho[1:])
+    w = next(w for w in range(1, rho.size) if w >= 6.0 * tau_at[w - 1])
+    return tau_at[w - 1]
+
+
+def record_acf_lags(monkeypatch):
+    """The max_lag of each `acf` call the diagnostics make, in order."""
+    lags = []
+
+    def recording_acf(series, max_lag):
+        lags.append(max_lag)
+        return acf(series, max_lag)
+
+    monkeypatch.setattr(diagnostics, "acf", recording_acf)
+    return lags
+
+
+def test_window_past_the_table_takes_the_acf_to_half_the_chain(monkeypatch):
+    # tau_int is near 100 at phi = 0.99, so the window lies near 600 lags.
+    n = 20_000
+    x = reference.ar1(n, 0.99, seed=19)
+    lags = record_acf_lags(monkeypatch)
+    report = summarize(fake_chain(x), ReturnSeries(np.array([0.0, 1.0])))
+    assert lags == [200, n // 2]
+    tau, _ = integrated_autocorr_time(x)
+    assert report.params["theta"].two_tau_int == 2.0 * tau
+    assert tau == pytest.approx(window_rule(reference.naive_acf(x, 1000)), rel=1e-9, abs=0.0)
+    assert report.acf.shape == (201, 1)
+    np.testing.assert_array_equal(report.acf[:, 0], acf(x, 200))
+
+
+def test_window_within_the_table_takes_one_acf(monkeypatch):
+    x = reference.ar1(5000, 0.5, seed=21)
+    lags = record_acf_lags(monkeypatch)
+    summarize(fake_chain(x), ReturnSeries(np.array([0.0, 1.0])))
+    assert lags == [200]
+
+
+def test_random_walk_has_no_window_below_half_the_chain(monkeypatch):
+    x = np.random.default_rng(0).standard_normal(1000).cumsum()
+    lags = record_acf_lags(monkeypatch)
+    with pytest.raises(NonConvergenceError, match=re.escape("no self-consistent window below N/2 = 500")):
+        integrated_autocorr_time(x)
+    assert lags == [200, 500]
