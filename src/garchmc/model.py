@@ -17,6 +17,7 @@ from __future__ import annotations
 __all__ = [
     "ModelKind",
     "ModelParams",
+    "in_support",
     "log_likelihood",
     "log_posterior_fn",
     "news_impact_curve",
@@ -85,7 +86,18 @@ class ModelParams:
         return np.array([getattr(self, name) for name in self.kind.param_names])
 
 
-def _in_support(omega: float, alpha: float, beta: float, gamma: float) -> bool:
+def in_support(theta: np.ndarray) -> bool:
+    """Whether a parameter vector lies in the model support, the flat prior's domain.
+
+    `theta` is in `kind.param_names` order for either kind: a GARCH vector
+    has no gamma, which is then 0.  It is the test the posterior closure
+    applies, so a proposal truncated to it by `build_proposal`'s `support`
+    draws no candidate the closure reads as -inf.
+    """
+    return _in_support(*theta.tolist())
+
+
+def _in_support(omega: float, alpha: float, beta: float, gamma: float = 0.0) -> bool:
     # NaNs fail every comparison, so they land outside the support.
     return (
         omega > 0.0

@@ -11,7 +11,13 @@ moments (M, V) uses Sigma = (nu-2)/nu * V.  Everything goes through the
 Cholesky factor L of Sigma.  Sampling: draw Y ~ N(0, I), w ~ chi2_nu, set
 X = Y * sqrt(nu/w) and return L X + M.  Density: with z = L^{-1} (theta-M)
 the quadratic form is z'z, a sum of squares, and det(Sigma) is the squared
-product of L's diagonal.  A Sigma that does not factor has no density.
+product of L's diagonal.  A draw already holds z = X, so its own density
+needs no product with L^{-1}.  A Sigma that does not factor has no density.
+
+A proposal may be truncated to a support: a draw outside it is redrawn.
+Restricted to the support, the truncated density is a constant multiple of
+g, so an independence sampler's ratio g(theta)/g(theta') is unchanged and
+stays exact (Tierney 1994, Ann. Stat. 22).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ __all__ = [
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +43,13 @@ from .errors import DegenerateCovarianceError, DomainError, InsufficientDataErro
 # precision (1.5e-11 at nu = 1e6, 1.4e-5 at 1e12, all of it by ~1e17), and
 # lgamma overflows near 1e306, so above this bound log g is no longer exact.
 NU_MAX = 1e6
+
+# Most redraws one truncated draw makes.  Past them it returns its last
+# draw, off the support, for the target to reject.  That keeps the sampler
+# exact: on the support the capped proposal is still a constant multiple of
+# g.  A proposal fitted to a chain on the support puts most of its mass
+# there, so the cap only binds on a proposal with almost none.
+MAX_REDRAWS = 100
 
 
 def check_nu(nu: float) -> None:
@@ -72,7 +85,8 @@ class StudentTProposal:
     """Frozen Student-t density: location, scale, Cholesky factor, shape.
 
     `_chol_inv` is L^{-1}, through which `log_density` evaluates the
-    quadratic form.
+    quadratic form.  `support`, if set, is the predicate `draw` truncates
+    its draws to.
     """
 
     mean: np.ndarray
@@ -81,16 +95,27 @@ class StudentTProposal:
     nu: float
     _chol_inv: np.ndarray
     _log_norm: float
+    support: Callable[[np.ndarray], bool] | None = None
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw via the normal/chi-square representation."""
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+        """One draw via the normal/chi-square representation, and its log g.
+
+        A draw outside `support` is redrawn, at most MAX_REDRAWS times.
+        Without a support, each draw takes one normal vector and one
+        chi-square variate from `rng`.  log g is `log_density`'s up to
+        rounding, taken from the standardized vector X = L^{-1} (theta - M)
+        the draw was made from.
+        """
         # ndarray.dot and in-place updates: per-call overhead dominates at
         # p = 3 or 4, and `@` and fresh temporaries cost more of it.
-        x = rng.standard_normal(self.mean.size)
-        x *= math.sqrt(self.nu / rng.chisquare(self.nu))
-        draw = self.chol.dot(x)
-        draw += self.mean
-        return draw
+        for _ in range(MAX_REDRAWS + 1):
+            x = rng.standard_normal(self.mean.size)
+            x *= math.sqrt(self.nu / rng.chisquare(self.nu))
+            draw = self.chol.dot(x)
+            draw += self.mean
+            if self.support is None or self.support(draw):
+                break
+        return draw, self._log_norm - 0.5 * (self.nu + self.mean.size) * math.log1p(x.dot(x) / self.nu)
 
     def log_density(self, theta: Sequence[float]) -> float:
         """Exact log g(theta), normalization included."""
@@ -173,12 +198,16 @@ def estimate_moments(samples: Sequence[Sequence[float]], previous: MomentEstimat
     return MomentEstimate(mean, cross / (n - 1), n, previous.shift, shifted_mean, cross)
 
 
-def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
+def build_proposal(
+    moments: MomentEstimate, nu: float, support: Callable[[np.ndarray], bool] | None = None
+) -> StudentTProposal:
     """Scale the chain covariance into a Student-t proposal.
 
     Sigma = (nu-2)/nu * V matches the proposal's covariance to V.  The
     proposal keeps Sigma's Cholesky factor L and L^{-1}, through which
-    `log_density` evaluates the quadratic form.  V must be exactly
+    `log_density` evaluates the quadratic form.  Its draws are truncated to
+    `support`, a predicate on a parameter vector, if one is given (the
+    sampler passes `model.in_support`).  V must be exactly
     symmetric, or it is a DomainError naming the largest asymmetry.
     Non-finite moments, and a Sigma that does not factor (early-chain draws
     can be collinear), are a DegenerateCovarianceError.
@@ -223,4 +252,5 @@ def build_proposal(moments: MomentEstimate, nu: float) -> StudentTProposal:
         nu=float(nu),
         _chol_inv=chol_inv,
         _log_norm=float(log_norm),
+        support=support,
     )

@@ -3,8 +3,9 @@
 The driver runs in two phases.  A component-wise random-walk Metropolis
 warm-up discards `burn_in` sweeps and keeps `initial_pool` states, from
 which the first Student-t proposal is fitted.  The main phase is an
-independence Metropolis-Hastings chain; every `update_interval` draws the
-proposal's (M, Sigma) are re-fitted from all samples accumulated so far
+independence Metropolis-Hastings chain whose candidates are drawn on the
+model support only; every `update_interval` draws the proposal's
+(M, Sigma) are re-fitted from all samples accumulated so far
 (pool included) so the proposal tracks the posterior it is feeding.  Each
 re-fit merges the window's draws into the previous window's moments, so it
 reads only that window.
@@ -168,16 +169,16 @@ def mh_step(
 
         min[1, P(theta') / P(theta) * g(theta) / g(theta')].
 
-    A candidate with -inf target is always rejected.  The current state's
-    log target and log proposal density are passed in, cached from the
-    step that reached it, and the returned `MHStep` carries the next
-    state's.
+    A candidate with -inf target is always rejected; a proposal truncated
+    to the target's support draws one only past its redraw cap.  The
+    candidate's log g comes with its draw.  The current state's log target
+    and log proposal density are passed in, cached from the step that
+    reached it, and the returned `MHStep` carries the next state's.
     """
-    candidate = proposal.draw(rng)
+    candidate, lg_new = proposal.draw(rng)
     lt_new = target(candidate)
     if lt_new == -math.inf:
         return MHStep(current, False, current_log_target, current_log_proposal)
-    lg_new = proposal.log_density(candidate)
     log_accept = (lt_new - current_log_target) + (current_log_proposal - lg_new)
     if log_accept >= 0.0 or rng.random() < math.exp(log_accept):
         return MHStep(candidate, True, lt_new, lg_new)
@@ -221,7 +222,8 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     )
 
     moments = estimate_moments(store[:n_pool])
-    proposal = build_proposal(moments, config.nu)
+    # Candidates are drawn on the support only, so none is wasted on a -inf target.
+    proposal = build_proposal(moments, config.nu, support=model.in_support)
     trace = [MomentSnapshot(0, moments.mean, moments.second_central, proposal.sigma)]
 
     rng = np.random.default_rng(mh_seed)
@@ -247,7 +249,7 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
         moments = estimate_moments(store[: n_pool + end], moments)
         frozen = config.freeze_after is not None and end >= config.freeze_after
         if not frozen:
-            proposal = build_proposal(moments, config.nu)
+            proposal = build_proposal(moments, config.nu, support=model.in_support)
             lg = proposal.log_density(x)
         trace.append(MomentSnapshot(end, moments.mean, moments.second_central, proposal.sigma))
         log.info(

@@ -149,6 +149,17 @@ def fsum_moments(arr):
     return np.array(mean), np.array(cov)
 
 
+def truncated_normal_moments(low):
+    """Mean and variance of a standard normal restricted to theta > low.
+
+    With the inverse Mills ratio m = phi(low) / (1 - Phi(low)), where
+    1 - Phi(low) = erfc(low / sqrt 2) / 2, the mean is m and the variance
+    1 + low * m - m^2.
+    """
+    mills = math.exp(-0.5 * low * low) / math.sqrt(2.0 * math.pi) / (0.5 * math.erfc(low / math.sqrt(2.0)))
+    return mills, 1.0 + low * mills - mills * mills
+
+
 def gaussian_2d():
     """A correlated 2-D Gaussian: its mean, its covariance and its log density up to a constant."""
     mu = np.array([1.0, -2.0])

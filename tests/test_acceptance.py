@@ -126,7 +126,7 @@ def test_criterion_5_proposal_correctness():
     nu = 10.0
     prop = g.build_proposal(g.MomentEstimate(mean, v), nu)
     rng = np.random.default_rng(5)
-    draws = np.array([prop.draw(rng) for _ in range(100_000)])
+    draws = np.array([prop.draw(rng)[0] for _ in range(100_000)])
 
     expected_cov = nu / (nu - 2.0) * prop.sigma
     emp_cov = np.cov(draws, rowvar=False, ddof=1)

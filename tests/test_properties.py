@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from garchmc import DomainError, ModelKind, ModelParams, ReturnSeries, load_returns, log_posterior_fn
+from garchmc import DomainError, ModelKind, ModelParams, ReturnSeries, in_support, load_returns, log_posterior_fn
 from garchmc.cli import _write_csv
 
 import reference
@@ -94,6 +94,15 @@ def test_model_params_build_exactly_on_the_support(point, kind):
     else:
         with pytest.raises(DomainError, match="outside the model support"):
             ModelParams(*point, kind)
+
+
+@PROPERTY
+@given(points, st.sampled_from(ModelKind))
+def test_in_support_agrees_with_the_reference_on_either_kind(point, kind):
+    # The predicate the proposal is truncated to takes a kind's vector; a
+    # GARCH vector has no gamma, and the reference reads it as 0.
+    dim = len(kind.param_names)
+    assert in_support(np.array(point[:dim])) == reference.in_support(point[:dim])[0]
 
 
 @PROPERTY

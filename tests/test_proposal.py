@@ -174,7 +174,7 @@ def test_near_singular_log_density_peaks_at_the_mean():
     prop = build_proposal(MomentEstimate(np.zeros(4), v), nu=10.0)
     peak = prop.log_density(prop.mean)
     rng = np.random.default_rng(0)
-    assert max(prop.log_density(prop.draw(rng)) for _ in range(200)) <= peak
+    assert max(prop.log_density(prop.draw(rng)[0]) for _ in range(200)) <= peak
 
 
 def test_build_proposal_rejects_bad_input():
@@ -217,7 +217,7 @@ def test_draw_moments_match_construction():
     v = np.array([[2.0, 0.6], [0.6, 1.0]])
     prop = build_proposal(MomentEstimate(mean, v), nu=10.0)
     rng = np.random.default_rng(12)
-    draws = np.array([prop.draw(rng) for _ in range(200_000)])
+    draws = np.array([prop.draw(rng)[0] for _ in range(200_000)])
     got = estimate_moments(draws)
     np.testing.assert_allclose(got.mean, mean, atol=0.02)
     np.testing.assert_allclose(got.second_central, v, rtol=0.05)
@@ -228,7 +228,7 @@ def test_draw_covariance_is_nu_scaled_sigma():
     nu = 10.0
     prop = build_proposal(MomentEstimate(np.zeros(2), v), nu=nu)
     rng = np.random.default_rng(13)
-    draws = np.array([prop.draw(rng) for _ in range(100_000)])
+    draws = np.array([prop.draw(rng)[0] for _ in range(100_000)])
     emp = np.cov(draws, rowvar=False, ddof=1)
     np.testing.assert_allclose(emp, nu / (nu - 2.0) * prop.sigma, rtol=0.05)
 
@@ -236,7 +236,7 @@ def test_draw_covariance_is_nu_scaled_sigma():
 def test_draw_gaussian_limit_kurtosis():
     prop = build_proposal(MomentEstimate(np.zeros(1), np.eye(1)), nu=1e6)
     rng = np.random.default_rng(14)
-    draws = np.array([prop.draw(rng)[0] for _ in range(100_000)])
+    draws = np.array([prop.draw(rng)[0][0] for _ in range(100_000)])
     kurtosis = np.mean((draws - draws.mean()) ** 4) / np.var(draws) ** 2
     assert abs(kurtosis - 3.0) < 0.1
 
@@ -282,5 +282,31 @@ def test_log_density_permutation_invariant():
         MomentEstimate(moments.mean[perm], moments.second_central[np.ix_(perm, perm)]), nu=8.0
     )
     for _ in range(20):
-        theta = prop.draw(rng)
+        theta, _ = prop.draw(rng)
         assert permuted.log_density(theta[perm]) == pytest.approx(prop.log_density(theta), rel=1e-12)
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["untruncated", "truncated"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_draw_log_density_matches_log_density(p, truncated):
+    # The draw's log g comes from its standardized vector, log_density's
+    # through L^{-1}: the two agree to rounding.
+    rng = np.random.default_rng(40 + p)
+    moments = estimate_moments(rng.standard_normal((50, p)) @ rng.standard_normal((p, p)))
+    support = (lambda v: v.sum() > moments.mean.sum()) if truncated else None
+    prop = build_proposal(moments, nu=7.0, support=support)
+    for _ in range(500):
+        theta, log_g = prop.draw(rng)
+        assert support is None or support(theta)
+        assert abs(log_g - prop.log_density(theta)) <= 1e-13 * max(1.0, abs(log_g))
+
+
+@pytest.mark.parametrize("support", [None, lambda v: True], ids=["none", "everywhere"])
+def test_draws_that_need_no_redraw_take_the_untruncated_randoms(support):
+    # The draw without truncation: Y ~ N(0, I), w ~ chi2_nu, M + L Y sqrt(nu/w).
+    prop = build_proposal(estimate_moments(np.random.default_rng(17).standard_normal((50, 3))), 9.0, support)
+    rng, ref = np.random.default_rng(18), np.random.default_rng(18)
+    for _ in range(100):
+        x = ref.standard_normal(3)
+        x *= math.sqrt(9.0 / ref.chisquare(9.0))
+        np.testing.assert_array_equal(prop.draw(rng)[0], prop.chol.dot(x) + prop.mean)

@@ -13,10 +13,12 @@ from garchmc import (
     jackknife_se,
     metropolis_warmup,
     mh_step,
+    model,
     run_adaptive,
     simulate_qgarch,
     unconditional_variance,
 )
+from garchmc.proposal import MAX_REDRAWS
 
 import reference
 
@@ -93,6 +95,59 @@ def test_mh_step_rejects_off_support_candidates():
     np.testing.assert_array_equal(x, current)
 
 
+def test_mh_step_rejects_a_candidate_past_the_redraw_cap():
+    # The support holds almost none of the proposal's mass, so every draw
+    # lands off it; the last one comes back for the target to reject.
+    checked = 0
+
+    def far(v):
+        nonlocal checked
+        checked += 1
+        return v[0] > 1e3
+
+    prop = build_proposal(MomentEstimate(np.zeros(1), np.eye(1)), nu=10.0, support=far)
+    current = np.array([2e3])
+    target = lambda v: -1e-3 * v[0] if far(v) else -math.inf
+    lt, lg = target(current), prop.log_density(current)
+    checked = 0
+    step = mh_step(target, prop, current, np.random.default_rng(23), current_log_target=lt, current_log_proposal=lg)
+    assert checked == MAX_REDRAWS + 2  # every draw, then the target's own test
+    assert not step.accepted
+    assert step.theta is current and step.log_target == lt and step.log_proposal == lg
+
+
+def _truncated_normal_z(support, low=0.3, n=100_000):
+    """Largest |z| of an IMH chain's mean and variance off those of N(0, 1) restricted to theta > low.
+
+    The proposal is a t truncated to `support`.  z is in jackknife SE; the
+    variance is the mean of (theta - exact mean)^2.
+    """
+    target = lambda v: -0.5 * v[0] * v[0] if v[0] > low else -math.inf
+    prop = build_proposal(MomentEstimate(np.array([1.0]), np.array([[0.5]])), nu=5.0, support=support)
+    rng = np.random.default_rng(40)
+    x = np.array([1.0])
+    lt, lg = target(x), prop.log_density(x)
+    chain = np.empty(n)
+    for i in range(n):
+        x, _, lt, lg = mh_step(target, prop, x, rng, current_log_target=lt, current_log_proposal=lg)
+        chain[i] = x[0]
+    mean, var = reference.truncated_normal_moments(low)
+    squares = (chain - mean) ** 2
+    return max(abs(chain.mean() - mean) / jackknife_se(chain), abs(squares.mean() - var) / jackknife_se(squares))
+
+
+def test_truncated_proposal_samples_a_bounded_target_exactly():
+    # Truncation redraws where the target is 0; the truncated density is a
+    # constant multiple of g on the support, so the chain stays exact.
+    assert _truncated_normal_z(lambda v: v[0] > 0.3) <= 4.0
+
+
+def test_truncation_narrower_than_the_support_fails_the_oracle():
+    # Negative control: a proposal that never reaches (0.3, 0.5] cannot
+    # sample the target there, and the oracle above must see it.
+    assert _truncated_normal_z(lambda v: v[0] > 0.5) > 4.0
+
+
 class _StubProposal:
     """Fixed draw and densities so the accept ratio can be set by hand."""
 
@@ -102,7 +157,7 @@ class _StubProposal:
         self.log_g_current = log_g_current
 
     def draw(self, rng):
-        return self.candidate.copy()
+        return self.candidate.copy(), self.log_g_candidate
 
     def log_density(self, theta):
         return self.log_g_candidate if np.array_equal(theta, self.candidate) else self.log_g_current
@@ -165,6 +220,31 @@ def test_run_adaptive_snapshots_share_no_memory():
     for i, a in arrays:
         for j, b in arrays:
             assert i == j or not np.shares_memory(a, b)
+
+
+def test_run_adaptive_draws_no_off_support_candidate(monkeypatch):
+    # Calls counted as in acceptance criterion 10: the warm-up's, then one
+    # for the pool's last state and one per draw.  Every main-phase
+    # candidate lies on the support, so none of those reads -inf.
+    values = []
+    posterior = model.log_posterior_fn
+
+    def counted(*args):
+        target = posterior(*args)
+
+        def call(theta):
+            values.append(target(theta))
+            return values[-1]
+
+        return call
+
+    monkeypatch.setattr(model, "log_posterior_fn", counted)
+    config = small_config()
+    run_adaptive(config, small_returns())
+    warm_up = 1 + (config.burn_in + config.initial_pool) * 4
+    assert len(values) == warm_up + 1 + config.total_samples
+    assert -math.inf in values[:warm_up]  # the warm-up's random walk still steps off it
+    assert -math.inf not in values[warm_up:]
 
 
 def test_run_adaptive_contains_exact_repeats():

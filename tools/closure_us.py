@@ -49,7 +49,7 @@ def thetas():
     points = []
     while len(points) < CALLS:
         theta = np.array(HANG_SENG) * (1.0 + 0.01 * rng.standard_normal(4))
-        if model._in_support(*theta.tolist()):
+        if model.in_support(theta):
             points.append(theta)
     return points
 
