@@ -12,6 +12,7 @@ from garchmc import (
     build_proposal,
     estimate_moments,
 )
+from garchmc.proposal import SPREAD
 
 import reference
 
@@ -150,14 +151,25 @@ def test_estimate_moments_needs_two_samples():
 
 def test_build_proposal_identity_scaling():
     prop = build_proposal(MomentEstimate(np.zeros(2), np.eye(2)), nu=10.0)
-    np.testing.assert_allclose(prop.sigma, 0.8 * np.eye(2), rtol=1e-15)
-    np.testing.assert_allclose(prop.chol, math.sqrt(0.8) * np.eye(2), rtol=1e-15)
+    np.testing.assert_allclose(prop.sigma, 1.44 * 0.8 * np.eye(2), rtol=1e-15)
+    np.testing.assert_allclose(prop.chol, 1.2 * math.sqrt(0.8) * np.eye(2), rtol=1e-15)
 
 
 def test_build_proposal_diagonal():
     prop = build_proposal(MomentEstimate(np.zeros(2), np.diag([4.0, 9.0])), nu=4.0)
-    np.testing.assert_allclose(prop.sigma, np.diag([2.0, 4.5]), rtol=1e-15)
-    np.testing.assert_allclose(prop.chol, np.diag([math.sqrt(2.0), math.sqrt(4.5)]), rtol=1e-15)
+    np.testing.assert_allclose(prop.sigma, 1.44 * np.diag([2.0, 4.5]), rtol=1e-15)
+    np.testing.assert_allclose(prop.chol, 1.2 * np.diag([math.sqrt(2.0), math.sqrt(4.5)]), rtol=1e-15)
+
+
+@pytest.mark.parametrize("nu", [2.5, 7.0, 10.0, 1e6])
+def test_build_proposal_sigma_is_the_spread_scaled_covariance(nu):
+    # A scalar times V: exactly the formula, and exactly symmetric, so the
+    # Cholesky factor sees the same matrix the symmetry check passed.
+    rng = np.random.default_rng(19)
+    v = estimate_moments(rng.standard_normal((40, 4)) @ rng.standard_normal((4, 4))).second_central
+    sigma = build_proposal(MomentEstimate(np.zeros(4), v), nu=nu).sigma
+    np.testing.assert_array_equal(sigma, SPREAD**2 * (nu - 2.0) / nu * v)
+    np.testing.assert_array_equal(sigma, sigma.T)
 
 
 def test_build_proposal_zero_matrix_is_degenerate():
@@ -212,7 +224,7 @@ def test_cholesky_reconstructs_sigma():
 
 
 def test_draw_moments_match_construction():
-    # Round trip: the fitted proposal's draws must reproduce (M, V).
+    # Round trip: the fitted proposal's draws must reproduce (M, SPREAD^2 V).
     mean = np.array([1.0, -2.0])
     v = np.array([[2.0, 0.6], [0.6, 1.0]])
     prop = build_proposal(MomentEstimate(mean, v), nu=10.0)
@@ -220,7 +232,7 @@ def test_draw_moments_match_construction():
     draws = np.array([prop.draw(rng)[0] for _ in range(200_000)])
     got = estimate_moments(draws)
     np.testing.assert_allclose(got.mean, mean, atol=0.02)
-    np.testing.assert_allclose(got.second_central, v, rtol=0.05)
+    np.testing.assert_allclose(got.second_central, SPREAD**2 * v, rtol=0.05)
 
 
 def test_draw_covariance_is_nu_scaled_sigma():
@@ -259,7 +271,7 @@ def test_log_density_symmetric_and_peaked():
 
 
 def test_log_density_normalized_by_quadrature():
-    # V = 1.25 so sigma = 1 exactly at nu = 10.
+    # V = 1.25, so sigma = 1.44 at nu = 10.
     prop = build_proposal(MomentEstimate(np.zeros(1), np.array([[1.25]])), nu=10.0)
     total, _ = quad(lambda x: math.exp(prop.log_density(np.array([x]))), -50.0, 50.0,
                     epsabs=1e-12, limit=200)

@@ -18,7 +18,7 @@ from garchmc import (
     simulate_qgarch,
     unconditional_variance,
 )
-from garchmc.proposal import MAX_REDRAWS
+from garchmc.proposal import MAX_REDRAWS, SPREAD
 
 import reference
 
@@ -120,7 +120,10 @@ def _truncated_normal_z(support, low=0.3, n=100_000):
     """Largest |z| of an IMH chain's mean and variance off those of N(0, 1) restricted to theta > low.
 
     The proposal is a t truncated to `support`.  z is in jackknife SE; the
-    variance is the mean of (theta - exact mean)^2.
+    variance is the mean of (theta - exact mean)^2.  It is built through
+    `build_proposal`, so its Sigma carries the sampler's SPREAD^2 = 1.44:
+    the oracle and its negative control check truncation at the scale the
+    sampler draws from.
     """
     target = lambda v: -0.5 * v[0] * v[0] if v[0] > low else -math.inf
     prop = build_proposal(MomentEstimate(np.array([1.0]), np.array([[0.5]])), nu=5.0, support=support)
@@ -274,6 +277,21 @@ def test_run_adaptive_freeze_after_stops_updates():
     # before the freeze the proposal was still moving
     early = [snap.proposal_sigma for snap in result.moment_trace if snap.t < 300]
     assert not np.array_equal(early[0], early[-1])
+
+
+@pytest.mark.parametrize("freeze_after", [None, 300])
+def test_run_adaptive_proposal_sigma_is_the_spread_scaled_moments(freeze_after):
+    # Each snapshot's proposal is fitted from its own second moment, bit for
+    # bit, until adaptation stops; from then on every snapshot keeps the
+    # last fitted sigma.
+    config = small_config(freeze_after=freeze_after)
+    trace = run_adaptive(config, small_returns()).moment_trace
+    fitted = None
+    for snap in trace:
+        if freeze_after is None or snap.t < freeze_after:
+            fitted = SPREAD**2 * (config.nu - 2.0) / config.nu * snap.second_central
+        np.testing.assert_array_equal(snap.proposal_sigma, fitted)
+    assert freeze_after is None or trace[-1].t > freeze_after
 
 
 def test_run_adaptive_partial_final_window():
