@@ -78,17 +78,17 @@ def check_nu(nu: float) -> None:
 class MomentEstimate:
     """Sample mean and second central moment of a set of draws.
 
-    `estimate_moments` also records the state a later call merges new
-    draws into: the draw count, a shift (the first estimate's mean), the
-    mean of the draws less the shift, and the sum of the centered rows'
-    cross products.  A hand-built estimate has none of it.
+    `estimate_moments` also records the running sums a later call adds new
+    draws to: the draw count, the shift s (the first call's column means),
+    the sum of the draws less s, and the sum of their outer products.  A
+    hand-built estimate has none of them.
     """
 
     mean: np.ndarray
     second_central: np.ndarray
     count: int = 0
     shift: np.ndarray | None = None
-    shifted_mean: np.ndarray | None = None
+    shifted_sum: np.ndarray | None = None
     cross_sum: np.ndarray | None = None
 
 
@@ -139,40 +139,39 @@ class StudentTProposal:
         return self._log_norm - 0.5 * (self.nu + self.mean.size) * math.log1p(quad / self.nu)
 
 
-def _centered_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of each row, and the cross-product sums of the rows centered in place."""
+def _cross_sums(rows: np.ndarray) -> np.ndarray:
+    """The p(p+1)/2 cross-product sums of the rows, mirrored into a symmetric (p, p) array."""
     p = rows.shape[0]
     cross = np.empty((p, p))
-    mean = rows.mean(axis=1)
-    rows -= mean[:, np.newaxis]
     for i in range(p):
         for j in range(i + 1):
             # einsum, not np.dot: np.dot hands long vectors to a
             # multithreaded BLAS whose workers then spin on idle cores.
             cross[i, j] = cross[j, i] = np.einsum("i,i->", rows[i], rows[j])
-    return mean, cross
+    return cross
 
 
 def estimate_moments(samples: Sequence[Sequence[float]], previous: MomentEstimate | None = None) -> MomentEstimate:
     """Sample mean and unbiased (N-1) covariance of the draws.
 
     Takes an (N, p) array or a sequence of N p-vectors, one draw per row.
-    Two passes over one contiguous row per parameter: the means, then the
-    p(p+1)/2 dot products of the centered rows, so the covariance is
-    symmetric by construction.  The input is not modified.  Draws too
-    large for their squares to fit a float give non-finite moments,
-    without a warning; `build_proposal` rejects them.
+    The draws are summed about a fixed shift s: with S the sum of the rows
+    less s and C the sum of their outer products, the mean is s + S/N and
+    the covariance (C - S S'/N)/(N-1), symmetric by construction.  The
+    input is not modified.  Draws too large for their squares to fit a
+    float give non-finite moments, without a warning; `build_proposal`
+    rejects them.
 
-    `previous`, an estimate this function made of `samples[:k]`, lets it
-    read only `samples[k:]`: those rows are two-passed less `previous`'s
-    shift, and their count, mean and cross-product sum are merged into
-    `previous`'s by the pairwise update of Chan, Golub and LeVeque (1983),
-    so a refit costs O((N-k) p^2).  The shift keeps the merge as accurate
-    as one two-pass call over all N rows: on a column at 1e6 +- 0.1, merges
-    read 2.6e-15 of the covariance's scale off exact sums, and 1.1e-10
-    unshifted.  A `previous` of all N rows is returned as it is; one of
-    another dimension, of more than N rows or without merge state is a
-    DomainError.
+    Without `previous`, s is the column means of `samples`, and the call
+    adds all N rows to empty sums.  `previous`, an estimate this function
+    made of `samples[:k]`, carries s, S and C, so a refit reads only
+    `samples[k:]`, one contiguous row per parameter, and costs
+    O((N-k) p^2).  However far the later rows drift from s, the first k
+    rows stay in the sums, so the drift widens the covariance V as well:
+    (S/N)^2 stays below about (N/k) V, and C - S S'/N loses at most about
+    (1 + 2N/k) eps of V's scale to cancellation.  A `previous` of all N
+    rows is returned as it is; one of another dimension, of more than N
+    rows or without sums is a DomainError.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2:
@@ -181,15 +180,9 @@ def estimate_moments(samples: Sequence[Sequence[float]], previous: MomentEstimat
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples to estimate moments, got {n}")
     if previous is None:
-        # A copy in any case: the rows are centered in place.
-        rows = arr.T.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, cross = _centered_sums(rows)
-            # The rows less the rounded mean average to its rounding error;
-            # a merge that took it for 0 would lose ~1e-11 of a covariance.
-            residual = rows.mean(axis=1)
-        return MomentEstimate(mean, cross / (n - 1), n, mean, residual, cross)
-
+            shift = arr.mean(axis=0)
+        previous = MomentEstimate(shift, np.zeros((p, p)), 0, shift, np.zeros(p), np.zeros((p, p)))
     if previous.cross_sum is None:
         raise DomainError("previous estimate has no merge state; pass one that estimate_moments returned")
     if previous.shift.shape != (p,):
@@ -202,12 +195,11 @@ def estimate_moments(samples: Sequence[Sequence[float]], previous: MomentEstimat
     rows = arr[k:].T.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         rows -= previous.shift[:, np.newaxis]
-        new_mean, new_cross = _centered_sums(rows)
-        delta = new_mean - previous.shifted_mean
-        shifted_mean = previous.shifted_mean + delta * ((n - k) / n)
-        cross = previous.cross_sum + new_cross + np.outer(delta, delta) * (k * (n - k) / n)
-        mean = previous.shift + shifted_mean
-    return MomentEstimate(mean, cross / (n - 1), n, previous.shift, shifted_mean, cross)
+        shifted_sum = previous.shifted_sum + rows.sum(axis=1)
+        cross = previous.cross_sum + _cross_sums(rows)
+        mean = previous.shift + shifted_sum / n
+        v = (cross - np.outer(shifted_sum, shifted_sum) / n) / (n - 1)
+    return MomentEstimate(mean, v, n, previous.shift, shifted_sum, cross)
 
 
 def build_proposal(

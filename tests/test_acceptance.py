@@ -242,11 +242,19 @@ def test_criterion_10_efficiency_against_random_walk(monkeypatch):
 
         return call
 
+    warmup = g.sampler.metropolis_warmup
+    starts = []
+
+    def recorded(target, theta0, *args):
+        starts.append(theta0)
+        return warmup(target, theta0, *args)
+
     monkeypatch.setattr(g.model, "log_posterior_fn", counted)
+    monkeypatch.setattr(g.sampler, "metropolis_warmup", recorded)
     imh = g.run_adaptive(config, returns).samples
     imh_calls = calls
-    theta0 = (0.1 * float(np.var(returns.values)), 0.1, 0.8, 0.0)  # where the warm-up starts
-    walk = reference.random_walk_metropolis(counted(returns, g.ModelKind.QGARCH), theta0, imh_calls,
+    # The random walk starts where the warm-up did.
+    walk = reference.random_walk_metropolis(counted(returns, g.ModelKind.QGARCH), starts[0], imh_calls,
                                             config.burn_in, np.random.default_rng(config.seed))
     walk_calls = calls - imh_calls
 

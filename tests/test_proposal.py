@@ -64,8 +64,8 @@ def estimate_in_windows(arr, window):
 
 @pytest.mark.parametrize(
     "layout, window",
-    [("C", None), ("F", None), ("strided", None), ("F", 100), ("C", 1), ("F", 700)],
-    ids=["C", "F", "strided", "merged-by-100", "merged-by-1", "merged-uneven-last"],
+    [("C", None), ("F", None), ("strided", None), ("F", 100), ("C", 1), ("F", 700), ("drift", 100)],
+    ids=["C", "F", "strided", "merged-by-100", "merged-by-1", "merged-uneven-last", "merged-after-drift"],
 )
 def test_estimate_moments_matches_fsum_oracle(layout, window):
     arr = draws_with_offset_column(np.random.default_rng(21))
@@ -73,6 +73,10 @@ def test_estimate_moments_matches_fsum_oracle(layout, window):
         arr = np.asfortranarray(arr)
     elif layout == "strided":
         arr = arr[::3]
+    elif layout == "drift":
+        # The rows after the first estimate's 1000 sit 1000 SD from those
+        # rows' mean, the shift every merge keeps.
+        arr[1000:] += 1000.0 * arr[:1000].std(axis=0)
     before = arr.copy()
     got = estimate_in_windows(arr, window)
     np.testing.assert_array_equal(arr, before)

@@ -187,22 +187,6 @@ def test_mh_step_caches_match_fresh_evaluation():
     assert step.log_proposal == prop.log_density(step.theta)
 
 
-def test_independence_mh_recovers_gaussian_target():
-    # Short-chain version of the full correctness oracle in the
-    # acceptance suite.
-    mu, cov, target = reference.gaussian_2d()
-    prop = build_proposal(MomentEstimate(np.array([0.9, -1.9]), 1.3 * cov), nu=8.0)
-    rng = np.random.default_rng(31)
-    x = mu.copy()
-    lt, lg = target(x), prop.log_density(x)
-    chain = np.empty((20_000, 2))
-    for i in range(chain.shape[0]):
-        x, _, lt, lg = mh_step(target, prop, x, rng, current_log_target=lt, current_log_proposal=lg)
-        chain[i] = x
-    np.testing.assert_allclose(chain.mean(axis=0), mu, atol=0.05)
-    np.testing.assert_allclose(np.cov(chain, rowvar=False), cov, rtol=0.15)
-
-
 def test_run_adaptive_shapes_and_traces():
     result = run_adaptive(small_config(), small_returns())
     assert result.samples.shape == (600, 4)

@@ -2,13 +2,14 @@
 
 For each history of N draws and each dimension p it fills an (N, p)
 column-major store (the sampler's layout) with Gaussian draws and times
-`estimate_moments` two ways: one call over all N rows, and the refit the
-sampler makes, which merges the last WINDOW rows into an estimate of the
-first N - WINDOW.  The variants take turns within each of `--rounds`
-rounds, in an order that rotates from round to round, so a drift in the
-machine's speed reaches every variant alike.  Each round repeats a call
-until it has run for at least `--round-ms`.  It prints the µs per call as
-median (quartiles) over the rounds, one Markdown row per history.
+`estimate_moments` two ways: one call over all N rows, which adds them all
+to empty sums, and the refit the sampler makes, which adds the last WINDOW
+rows to the sums of an estimate of the first N - WINDOW.  The variants
+take turns within each of `--rounds` rounds, in an order that rotates
+from round to round, so a drift in the machine's speed reaches every
+variant alike.  Each round repeats a call until it has run for at least
+`--round-ms`.  It prints the µs per call as median (quartiles) over the
+rounds, one Markdown row per history.
 
     python tools/refit_us.py
     python tools/refit_us.py --rows 1000 100000 --dims 3 --rounds 21
