@@ -86,25 +86,32 @@ class ModelParams:
         return np.array([getattr(self, name) for name in self.kind.param_names])
 
 
-def in_support(theta: np.ndarray) -> bool:
-    """Whether a parameter vector lies in the model support, the flat prior's domain.
+def in_support(theta: np.ndarray) -> bool | np.ndarray:
+    """Whether a parameter vector, or each row of an (n, p) array of them, lies in the model support.
 
-    `theta` is in `kind.param_names` order for either kind: a GARCH vector
-    has no gamma, which is then 0.  It is the test the posterior closure
-    applies, so a proposal truncated to it by `build_proposal`'s `support`
-    draws no candidate the closure reads as -inf.
+    The support is the flat prior's domain.  A vector gives one bool, an
+    (n, p) array n of them, so it is the row predicate `build_proposal`'s
+    `support` takes.  `theta` is in `kind.param_names` order for either
+    kind: a GARCH vector has no gamma, which is then 0.  It is the test the
+    posterior closure applies, so a proposal truncated to it draws no
+    candidate the closure reads as -inf.
     """
-    return _in_support(*theta.tolist())
+    if theta.ndim == 1:
+        return _in_support(*theta.tolist())
+    # Python floats overflow to inf quietly; array columns would warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_support(*theta.T)
 
 
-def _in_support(omega: float, alpha: float, beta: float, gamma: float = 0.0) -> bool:
-    # NaNs fail every comparison, so they land outside the support.
+def _in_support(omega, alpha, beta, gamma=0.0):
+    # `&`, not `and`: Python floats give a bool and array columns an array
+    # of them.  NaNs fail every comparison, so they land outside the support.
     return (
-        omega > 0.0
-        and alpha >= 0.0
-        and beta >= 0.0
-        and alpha + beta < 1.0
-        and gamma * gamma <= 4.0 * alpha * omega
+        (omega > 0.0)
+        & (alpha >= 0.0)
+        & (beta >= 0.0)
+        & (alpha + beta < 1.0)
+        & (gamma * gamma <= 4.0 * alpha * omega)
     )
 
 

@@ -22,11 +22,16 @@ A proposal may be truncated to a support: a draw outside it is redrawn.
 Restricted to the support, the truncated density is a constant multiple of
 g, so an independence sampler's ratio g(theta)/g(theta') is unchanged and
 stays exact (Tierney 1994, Ann. Stat. 22).
+
+A fixed proposal's draws are i.i.d., so they are made BLOCK at a time: one
+array of normals, one of chi-square variates, one product with L, one
+support test and one log g per block.  `draw` serves them one by one.
 """
 
 from __future__ import annotations
 
 __all__ = [
+    "DrawCounts",
     "MomentEstimate",
     "StudentTProposal",
     "build_proposal",
@@ -34,7 +39,7 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +67,11 @@ SPREAD = 1.2
 # g.  A proposal fitted to a chain on the support puts most of its mass
 # there, so the cap only binds on a proposal with almost none.
 MAX_REDRAWS = 100
+
+# Draws made at once from the generator (tools/draw_us.py times the choice).
+# A refit starts a new block, so a window leaves its last block's unserved
+# rows unused.  It exceeds MAX_REDRAWS, so every block serves a draw.
+BLOCK = 128
 
 
 def check_nu(nu: float) -> None:
@@ -92,13 +102,38 @@ class MomentEstimate:
     cross_sum: np.ndarray | None = None
 
 
+@dataclass
+class DrawCounts:
+    """Draws a proposal has made, counted a block at a time.
+
+    `draws` counts every draw made from a generator, the rows of a block
+    that were never served included; `off_support` counts those outside
+    the support, and `capped` the off-support draws served because a run
+    of MAX_REDRAWS + 1 ended with them.
+    """
+
+    draws: int = 0
+    off_support: int = 0
+    capped: int = 0
+
+
+class _Block:
+    """The generator a proposal draws from, its served draws not yet returned (last first) and the open off-support run."""
+
+    __slots__ = ("rng", "served", "run")
+
+    def __init__(self):
+        self.rng, self.served, self.run = None, [], 0
+
+
 @dataclass(frozen=True)
 class StudentTProposal:
     """Frozen Student-t density: location, scale, Cholesky factor, shape.
 
     `_chol_inv` is L^{-1}, through which `log_density` evaluates the
-    quadratic form.  `support`, if set, is the predicate `draw` truncates
-    its draws to.
+    quadratic form.  `support`, if set, is the row predicate `draw`
+    truncates its draws to: it maps an (n, p) array to n bools.  `counts`
+    grows as `draw` makes blocks.
     """
 
     mean: np.ndarray
@@ -107,27 +142,52 @@ class StudentTProposal:
     nu: float
     _chol_inv: np.ndarray
     _log_norm: float
-    support: Callable[[np.ndarray], bool] | None = None
+    support: Callable[[np.ndarray], np.ndarray] | None = None
+    counts: DrawCounts = field(default_factory=DrawCounts, compare=False)
+    _block: _Block = field(default_factory=_Block, init=False, repr=False, compare=False)
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """One draw via the normal/chi-square representation, and its log g.
+        """The next candidate of the current block, and its log g.
 
-        A draw outside `support` is redrawn, at most MAX_REDRAWS times.
-        Without a support, each draw takes one normal vector and one
-        chi-square variate from `rng`.  log g is `log_density`'s up to
-        rounding, taken from the standardized vector X = L^{-1} (theta - M)
-        the draw was made from.
+        A block is BLOCK draws made at once from `rng`: a (BLOCK, p) array
+        of normals, then BLOCK chi-square variates.  A new block starts when
+        the last one is used up or `rng` is not the generator it came
+        from; a new generator starts afresh, as a new proposal would.  A
+        draw outside `support` is skipped, unless it is the last of a run
+        of MAX_REDRAWS + 1 off-support draws, a run that may cross blocks:
+        each candidate is then distributed as one made by redrawing.  log g
+        is `log_density`'s up to rounding, taken from the standardized
+        vector X = L^{-1} (theta - M) the draw was made from.
         """
-        # ndarray.dot and in-place updates: per-call overhead dominates at
-        # p = 3 or 4, and `@` and fresh temporaries cost more of it.
-        for _ in range(MAX_REDRAWS + 1):
-            x = rng.standard_normal(self.mean.size)
-            x *= math.sqrt(self.nu / rng.chisquare(self.nu))
-            draw = self.chol.dot(x)
-            draw += self.mean
-            if self.support is None or self.support(draw):
-                break
-        return draw, self._log_norm - 0.5 * (self.nu + self.mean.size) * math.log1p(x.dot(x) / self.nu)
+        block = self._block
+        if block.rng is not rng or not block.served:
+            self._next_block(rng)
+        return block.served.pop()
+
+    def _next_block(self, rng: np.random.Generator) -> None:
+        block, counts, nu, p = self._block, self.counts, self.nu, self.mean.size
+        if block.rng is not rng:
+            block.rng, block.run = rng, 0
+        x = rng.standard_normal((BLOCK, p))
+        x *= np.sqrt(nu / rng.chisquare(nu, BLOCK))[:, np.newaxis]
+        theta = x.dot(self.chol.T)
+        theta += self.mean
+        ok = np.full(BLOCK, True) if self.support is None else np.asarray(self.support(theta))
+        if ok.shape != (BLOCK,):
+            raise DomainError(f"support must map an (n, p) array to n bools, got shape {ok.shape} for n = {BLOCK}")
+        # The off-support draws of the run ending at each row, 0 on the
+        # support; the run left open by the last block comes before row 0.
+        rows = np.arange(BLOCK)
+        run = rows - np.maximum.accumulate(np.where(ok, rows, -1 - block.run))
+        served = run % (MAX_REDRAWS + 1) == 0
+        block.run = int(run[-1]) % (MAX_REDRAWS + 1)
+        on, picked = int(np.count_nonzero(ok)), np.flatnonzero(served)[::-1]
+        counts.draws += BLOCK
+        counts.off_support += BLOCK - on
+        counts.capped += picked.size - on
+        x = x[picked]
+        log_g = self._log_norm - 0.5 * (nu + p) * np.log1p(np.einsum("ij,ij->i", x, x) / nu)
+        block.served = list(zip(theta[picked], log_g.tolist()))
 
     def log_density(self, theta: Sequence[float]) -> float:
         """Exact log g(theta), normalization included."""
@@ -203,7 +263,7 @@ def estimate_moments(samples: Sequence[Sequence[float]], previous: MomentEstimat
 
 
 def build_proposal(
-    moments: MomentEstimate, nu: float, support: Callable[[np.ndarray], bool] | None = None
+    moments: MomentEstimate, nu: float, support: Callable[[np.ndarray], np.ndarray] | None = None
 ) -> StudentTProposal:
     """Scale the chain covariance into a Student-t proposal.
 
@@ -211,8 +271,9 @@ def build_proposal(
     SPREAD^2 * V, wider than V, since truncation narrows it.  The
     proposal keeps Sigma's Cholesky factor L and L^{-1}, through which
     `log_density` evaluates the quadratic form.  Its draws are truncated to
-    `support`, a predicate on a parameter vector, if one is given (the
-    sampler passes `model.in_support`).  V must be exactly
+    `support`, if one is given: a row predicate, mapping an (n, p) array of
+    draws to one bool per row (the sampler passes `model.in_support`).
+    V must be exactly
     symmetric, or it is a DomainError naming the largest asymmetry.
     Non-finite moments, and a Sigma that does not factor (early-chain draws
     can be collinear), are a DegenerateCovarianceError.

@@ -31,7 +31,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import model
-from .errors import DomainError
+from .data import ReturnSeries
+from .errors import DegenerateCovarianceError, DomainError
 from .proposal import StudentTProposal, build_proposal, check_nu, estimate_moments
 
 log = logging.getLogger(__name__)
@@ -193,15 +194,49 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     plus all adaptive-phase samples (or until `freeze_after` draws, after
     which the proposal stays fixed).  Per-window acceptance fractions and
     per-update moment snapshots are recorded.
+
+    The chain runs on the returns times 2^-e, e = floor(log2 SD), so the
+    warm-up's absolute steps fit returns in any units.  Under the flat
+    prior, returns c y map (omega, alpha, beta, gamma) to
+    (c^2 omega, alpha, beta, c gamma) with a constant Jacobian, so the draws
+    are mapped back by d = (2^2e, 1, 1, 2^e), each snapshot's mean by d and
+    its moments by d d'.  Every factor is a power of two, so runs on 2^k y
+    give 2^k-mapped draws bit for bit.  Returns whose SD is 0 or not finite
+    are a DomainError, and moments that overflow a float once mapped back
+    are a DegenerateCovarianceError.
     """
-    # Bound first: it rejects returns whose squares overflow before np.var
-    # would warn about them.
-    target = model.log_posterior_fn(returns, config.kind, config.sigma1_sq)
-    # The warm-up starts at an interior point scaled to the data's variance.
-    variance = float(np.var(returns.values))
-    theta0 = model.ModelParams(max(0.1 * variance, 1e-12), 0.1, 0.8, 0.0, config.kind).as_vector()
+    values = returns.values
+    # The returns are finite, so only squares that overflow make the SD infinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(values))
+    if not sd < math.inf:
+        raise DomainError(f"returns must have a finite sum of squares, got standard deviation {sd}")
+    if sd == 0.0:
+        raise DomainError("returns must vary, got standard deviation 0.0: a constant series has no scale to fit, "
+                          "with or without --sigma1-sq")
+    e = math.frexp(sd)[1] - 1
+    sigma1_sq = None if config.sigma1_sq is None else math.ldexp(config.sigma1_sq, -2 * e)
+    scaled = ReturnSeries(np.ldexp(values, -e))
+    target = model.log_posterior_fn(scaled, config.kind, sigma1_sq)
     names = config.kind.param_names
     p = len(names)
+    # log2 of d and of d d'.
+    d = np.array([2 * e, 0, 0, e])[:p]
+    dd = d[:, np.newaxis] + d
+
+    def snapshot(t, moments, proposal):
+        with np.errstate(over="ignore"):
+            snap = MomentSnapshot(t, np.ldexp(moments.mean, d), np.ldexp(moments.second_central, dd),
+                                  np.ldexp(proposal.sigma, dd))
+        if not all(np.isfinite(a).all() for a in (snap.mean, snap.second_central, snap.proposal_sigma)):
+            raise DegenerateCovarianceError(
+                f"moments are not finite at draw {t} once mapped back to the returns' scale "
+                f"(variances {np.diag(snap.second_central).tolist()}): the returns are too large"
+            )
+        return snap
+
+    # The warm-up starts at an interior point scaled to the data's variance.
+    theta0 = model.ModelParams(0.1 * float(np.var(scaled.values)), 0.1, 0.8, 0.0, config.kind).as_vector()
 
     # Pool and adaptive draws share one buffer, so each re-fit describes
     # every draw so far by one slice, of which `estimate_moments` reads only
@@ -224,7 +259,7 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     moments = estimate_moments(store[:n_pool])
     # Candidates are drawn on the support only, so none is wasted on a -inf target.
     proposal = build_proposal(moments, config.nu, support=model.in_support)
-    trace = [MomentSnapshot(0, moments.mean, moments.second_central, proposal.sigma)]
+    trace = [snapshot(0, moments, proposal)]
 
     rng = np.random.default_rng(mh_seed)
     x = store[n_pool - 1].copy()
@@ -239,6 +274,8 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
     for start in range(0, total, interval):
         end = min(start + interval, total)
         accepts = 0
+        # A frozen proposal's counts run on from the windows before.
+        off_support, capped = proposal.counts.off_support, proposal.counts.capped
         for row in range(n_pool + start, n_pool + end):
             x, accepted, lt, lg = mh_step(
                 target, proposal, x, rng, current_log_target=lt, current_log_proposal=lg
@@ -246,22 +283,29 @@ def run_adaptive(config: ChainConfig, returns) -> ChainResult:
             store[row] = x
             accepts += accepted
         acceptance.append(accepts / (end - start))
+        off_support, capped = proposal.counts.off_support - off_support, proposal.counts.capped - capped
         moments = estimate_moments(store[: n_pool + end], moments)
         frozen = config.freeze_after is not None and end >= config.freeze_after
         if not frozen:
             proposal = build_proposal(moments, config.nu, support=model.in_support)
             lg = proposal.log_density(x)
-        trace.append(MomentSnapshot(end, moments.mean, moments.second_central, proposal.sigma))
+        trace.append(snapshot(end, moments, proposal))
         log.info(
-            "window %d/%d  acceptance %.3f%s",
+            "window %d/%d  acceptance %.3f  off-support draws %d, capped %d%s",
             len(acceptance),
             n_windows,
             acceptance[-1],
+            off_support,
+            capped,
             "  (proposal frozen)" if frozen else "",
         )
 
+    # A draw overflows only where the square of its scale, in its
+    # snapshots' moments, overflowed first.
+    samples = store[n_pool:]
+    np.ldexp(samples, d, out=samples)
     return ChainResult(
-        samples=store[n_pool:],
+        samples=samples,
         param_names=names,
         acceptance_trace=np.asarray(acceptance),
         moment_trace=trace,

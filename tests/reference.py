@@ -160,6 +160,34 @@ def truncated_normal_moments(low):
     return mills, 1.0 + low * mills - mills * mills
 
 
+def truncated_t_draws(mean, chol, nu, support, n, rng, block, max_redraws):
+    """n candidates of the Student-t M + L x, x = y sqrt(nu / w), truncated to `support`, and their log densities.
+
+    Raw draws come `block` at a time from `rng`: a (block, p) array of
+    normals y, then `block` chi-square variates w.  Each candidate takes raw
+    draws in turn until one lies in the support, which `support` tests one
+    row at a time, or max_redraws + 1 have been taken, and is the last one
+    taken.  Its log density is that of the untruncated t.
+    """
+    p = len(mean)
+    log_norm = (math.lgamma((nu + p) / 2.0) - math.lgamma(nu / 2.0) - sum(math.log(chol[i][i]) for i in range(p))
+                - 0.5 * p * math.log(nu * math.pi))
+    raw, thetas, log_g = [], [], []
+    while len(thetas) < n:
+        for _ in range(max_redraws + 1):
+            if not raw:
+                y = rng.standard_normal((block, p))
+                w = rng.chisquare(nu, block)
+                raw = [yi * math.sqrt(nu / wi) for yi, wi in zip(y, w)][::-1]
+            x = raw.pop()
+            theta = np.array([mean[i] + sum(chol[i][k] * x[k] for k in range(i + 1)) for i in range(p)])
+            if support is None or support(theta[np.newaxis])[0]:
+                break
+        thetas.append(theta)
+        log_g.append(log_norm - 0.5 * (nu + p) * math.log1p(sum(v * v for v in x) / nu))
+    return np.array(thetas), np.array(log_g)
+
+
 def gaussian_2d():
     """A correlated 2-D Gaussian: its mean, its covariance and its log density up to a constant."""
     mu = np.array([1.0, -2.0])

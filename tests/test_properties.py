@@ -97,12 +97,16 @@ def test_model_params_build_exactly_on_the_support(point, kind):
 
 
 @PROPERTY
-@given(points, st.sampled_from(ModelKind))
-def test_in_support_agrees_with_the_reference_on_either_kind(point, kind):
-    # The predicate the proposal is truncated to takes a kind's vector; a
-    # GARCH vector has no gamma, and the reference reads it as 0.
+@given(st.lists(points, min_size=1, max_size=6), st.sampled_from(ModelKind))
+def test_in_support_agrees_with_the_reference_on_either_kind(rows, kind):
+    # The predicate the proposal is truncated to takes a kind's vector, or
+    # an (n, p) array of them, one bool per row; a GARCH vector has no
+    # gamma, and the reference reads it as 0.
     dim = len(kind.param_names)
-    assert in_support(np.array(point[:dim])) == reference.in_support(point[:dim])[0]
+    theta = np.array([point[:dim] for point in rows])
+    want = reference.in_support(theta).tolist()
+    assert in_support(theta).tolist() == want
+    assert [in_support(row) for row in theta] == want
 
 
 @PROPERTY

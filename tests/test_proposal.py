@@ -11,8 +11,9 @@ from garchmc import (
     MomentEstimate,
     build_proposal,
     estimate_moments,
+    model,
 )
-from garchmc.proposal import SPREAD
+from garchmc.proposal import BLOCK, MAX_REDRAWS, SPREAD
 
 import reference
 
@@ -309,20 +310,81 @@ def test_draw_log_density_matches_log_density(p, truncated):
     # through L^{-1}: the two agree to rounding.
     rng = np.random.default_rng(40 + p)
     moments = estimate_moments(rng.standard_normal((50, p)) @ rng.standard_normal((p, p)))
-    support = (lambda v: v.sum() > moments.mean.sum()) if truncated else None
+    support = (lambda rows: rows.sum(axis=1) > moments.mean.sum()) if truncated else None
     prop = build_proposal(moments, nu=7.0, support=support)
     for _ in range(500):
         theta, log_g = prop.draw(rng)
-        assert support is None or support(theta)
+        assert support is None or support(theta[np.newaxis])[0]
         assert abs(log_g - prop.log_density(theta)) <= 1e-13 * max(1.0, abs(log_g))
 
 
-@pytest.mark.parametrize("support", [None, lambda v: True], ids=["none", "everywhere"])
+@pytest.mark.parametrize("support", [None, lambda rows: np.full(len(rows), True)], ids=["none", "everywhere"])
 def test_draws_that_need_no_redraw_take_the_untruncated_randoms(support):
-    # The draw without truncation: Y ~ N(0, I), w ~ chi2_nu, M + L Y sqrt(nu/w).
+    # The draw without truncation, a block at a time: Y ~ N(0, I) for the
+    # block's rows, then w ~ chi2_nu for each, and M + L Y sqrt(nu/w).
     prop = build_proposal(estimate_moments(np.random.default_rng(17).standard_normal((50, 3))), 9.0, support)
     rng, ref = np.random.default_rng(18), np.random.default_rng(18)
-    for _ in range(100):
-        x = ref.standard_normal(3)
-        x *= math.sqrt(9.0 / ref.chisquare(9.0))
-        np.testing.assert_array_equal(prop.draw(rng)[0], prop.chol.dot(x) + prop.mean)
+    for _ in range(3):
+        y = ref.standard_normal((BLOCK, 3))
+        w = ref.chisquare(9.0, BLOCK)
+        for row, chi2 in zip(y, w):
+            want = prop.chol.dot(row * math.sqrt(9.0 / chi2)) + prop.mean
+            np.testing.assert_allclose(prop.draw(rng)[0], want, rtol=0.0, atol=1e-15 * np.abs(want).max())
+
+
+class OffAt:
+    """Row predicate that puts the rows at given positions of the stream it has tested off the support."""
+
+    def __init__(self, positions):
+        self.positions, self.tested = positions, 0
+
+    def __call__(self, rows):
+        at = np.arange(self.tested, self.tested + len(rows))
+        self.tested += len(rows)
+        return ~np.isin(at, self.positions)
+
+
+# Single off-support rows, one at the end of the first block, and a run of
+# 260: its 101st row (400) is served past the cap after crossing the block
+# edge at 384, the next 101 end at 501, and the last 58 cross 512.
+OFF = np.r_[3, 7, 8, BLOCK - 1, np.arange(300, 560)]
+
+
+@pytest.mark.parametrize("p", [1, 3, 4])
+@pytest.mark.parametrize("positions, counts", [([], (6 * BLOCK, 0, 0)), (OFF, (8 * BLOCK, 264, 2))],
+                         ids=["on-support", "skips-and-capped-runs"])
+def test_draw_serves_blocks_as_the_reference_redraws(p, positions, counts):
+    rng = np.random.default_rng(50 + p)
+    moments = estimate_moments(rng.standard_normal((50, p)) @ rng.standard_normal((p, p)) + 3.0)
+    prop = build_proposal(moments, nu=7.0, support=OffAt(positions))
+    want, want_log_g = reference.truncated_t_draws(moments.mean, prop.chol, 7.0, OffAt(positions), 700,
+                                                   np.random.default_rng(60), BLOCK, MAX_REDRAWS)
+    rng = np.random.default_rng(60)
+    thetas, log_g = map(np.array, zip(*(prop.draw(rng) for _ in range(700))))
+    assert np.all(np.abs(thetas - want) <= 1e-15 * np.abs(want).max())
+    assert np.all(np.abs(log_g - want_log_g) <= 1e-15 * np.abs(want_log_g).max())
+    # The 700 candidates and the 262 rows skipped among them fill 6 or 8
+    # blocks; rows 400 and 501 were served off the support, past the cap.
+    assert (prop.counts.draws, prop.counts.off_support, prop.counts.capped) == counts
+
+
+def test_draw_from_a_second_generator_starts_afresh():
+    moments = estimate_moments(0.01 * np.random.default_rng(61).standard_normal((50, 3)) + [0.05, 0.1, 0.8])
+    prop, fresh = (build_proposal(moments, 9.0, model.in_support) for _ in range(2))
+    first = np.random.default_rng(62)
+    for _ in range(5):
+        prop.draw(first)
+    assert prop._block.served  # the first generator's block is not used up
+    second, again = np.random.default_rng(63), np.random.default_rng(63)
+    for _ in range(BLOCK + 5):
+        theta, log_g = prop.draw(second)
+        want, want_log_g = fresh.draw(again)
+        np.testing.assert_array_equal(theta, want)
+        assert log_g == want_log_g
+
+
+def test_support_must_give_one_bool_per_row():
+    # A predicate on one vector reads an (n, p) array's first row.
+    prop = build_proposal(MomentEstimate(np.zeros(1), np.eye(1)), nu=10.0, support=lambda v: v[0] > 0.0)
+    with pytest.raises(DomainError, match=rf"support must map an \(n, p\) array to n bools, got shape \(1,\) for n = {BLOCK}"):
+        prop.draw(np.random.default_rng(0))

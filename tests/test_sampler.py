@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from garchmc import (
     MomentEstimate,
     ModelKind,
     ModelParams,
+    ReturnSeries,
     build_proposal,
     jackknife_se,
     metropolis_warmup,
@@ -18,7 +20,7 @@ from garchmc import (
     simulate_qgarch,
     unconditional_variance,
 )
-from garchmc.proposal import MAX_REDRAWS, SPREAD
+from garchmc.proposal import BLOCK, MAX_REDRAWS, SPREAD
 
 import reference
 
@@ -100,18 +102,19 @@ def test_mh_step_rejects_a_candidate_past_the_redraw_cap():
     # lands off it; the last one comes back for the target to reject.
     checked = 0
 
-    def far(v):
+    def far(rows):
         nonlocal checked
-        checked += 1
-        return v[0] > 1e3
+        checked += len(rows)
+        return rows[:, 0] > 1e3
 
     prop = build_proposal(MomentEstimate(np.zeros(1), np.eye(1)), nu=10.0, support=far)
     current = np.array([2e3])
-    target = lambda v: -1e-3 * v[0] if far(v) else -math.inf
+    target = lambda v: -1e-3 * v[0] if v[0] > 1e3 else -math.inf
     lt, lg = target(current), prop.log_density(current)
-    checked = 0
     step = mh_step(target, prop, current, np.random.default_rng(23), current_log_target=lt, current_log_proposal=lg)
-    assert checked == MAX_REDRAWS + 2  # every draw, then the target's own test
+    # Every row of the blocks the MAX_REDRAWS + 1 draws took was tested.
+    assert checked == -(-(MAX_REDRAWS + 1) // BLOCK) * BLOCK
+    assert prop.counts.capped == 1
     assert not step.accepted
     assert step.theta is current and step.log_target == lt and step.log_proposal == lg
 
@@ -142,13 +145,13 @@ def _truncated_normal_z(support, low=0.3, n=100_000):
 def test_truncated_proposal_samples_a_bounded_target_exactly():
     # Truncation redraws where the target is 0; the truncated density is a
     # constant multiple of g on the support, so the chain stays exact.
-    assert _truncated_normal_z(lambda v: v[0] > 0.3) <= 4.0
+    assert _truncated_normal_z(lambda rows: rows[:, 0] > 0.3) <= 4.0
 
 
 def test_truncation_narrower_than_the_support_fails_the_oracle():
     # Negative control: a proposal that never reaches (0.3, 0.5] cannot
     # sample the target there, and the oracle above must see it.
-    assert _truncated_normal_z(lambda v: v[0] > 0.5) > 4.0
+    assert _truncated_normal_z(lambda rows: rows[:, 0] > 0.5) > 4.0
 
 
 class _StubProposal:
@@ -234,6 +237,29 @@ def test_run_adaptive_draws_no_off_support_candidate(monkeypatch):
     assert -math.inf not in values[warm_up:]
 
 
+@pytest.mark.parametrize("freeze_after", [None, 300])
+def test_run_adaptive_logs_each_windows_off_support_draws(monkeypatch, caplog, freeze_after):
+    # A frozen proposal draws on across windows; each window reports its own share.
+    import garchmc.sampler as sampler
+
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(build_proposal(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sampler, "build_proposal", recorded)
+    with caplog.at_level("INFO", logger="garchmc.sampler"):
+        run_adaptive(small_config(freeze_after=freeze_after), small_returns())
+    lines = [record.getMessage() for record in caplog.records]
+    assert len(lines) == 6
+    reported = [re.search(r"acceptance [01]\.\d{3}  off-support draws (\d+), capped (\d+)", line) for line in lines]
+    assert all(reported)
+    assert sum(int(m[1]) for m in reported) == sum(prop.counts.off_support for prop in built) > 0
+    assert sum(int(m[2]) for m in reported) == sum(prop.counts.capped for prop in built)
+    assert len(built) == (7 if freeze_after is None else 3)
+
+
 def test_run_adaptive_contains_exact_repeats():
     result = run_adaptive(small_config(), small_returns())
     repeats = np.all(result.samples[1:] == result.samples[:-1], axis=1)
@@ -289,6 +315,36 @@ def test_run_adaptive_garch_kind_three_columns():
     result = run_adaptive(config, small_returns())
     assert result.samples.shape == (600, 3)
     assert result.param_names == ("omega", "alpha", "beta")
+
+
+@pytest.mark.parametrize("kind, sigma1_sq", [(ModelKind.QGARCH, None), (ModelKind.GARCH, 2.5)], ids=["qgarch", "garch-given-sigma1-sq"])
+def test_run_adaptive_is_scale_free(kind, sigma1_sq):
+    # Returns 2^k y map (omega, alpha, beta, gamma) to (2^2k omega, alpha,
+    # beta, 2^k gamma); the chain runs on one standardized series, so the
+    # mapped draws and moments agree bit for bit.  At k = -17, a warm-up on
+    # the unscaled returns would take steps far wider than the posterior.
+    returns = small_returns()
+    base = run_adaptive(small_config(kind=kind, sigma1_sq=sigma1_sq), returns)
+    for k in (-40, -17, 7, 40):
+        d = np.ldexp(1.0, np.array([2 * k, 0, 0, k])[: len(kind.param_names)])
+        scaled = ReturnSeries(np.ldexp(returns.values, k))
+        config = small_config(kind=kind, sigma1_sq=None if sigma1_sq is None else math.ldexp(sigma1_sq, 2 * k))
+        result = run_adaptive(config, scaled)
+        np.testing.assert_array_equal(result.samples, base.samples * d)
+        np.testing.assert_array_equal(result.acceptance_trace, base.acceptance_trace)
+        for got, want in zip(result.moment_trace, base.moment_trace):
+            np.testing.assert_array_equal(got.mean, want.mean * d)
+            np.testing.assert_array_equal(got.second_central, want.second_central * np.outer(d, d))
+            np.testing.assert_array_equal(got.proposal_sigma, want.proposal_sigma * np.outer(d, d))
+
+
+@pytest.mark.parametrize("values, sd", [([1.5] * 10, "0.0"), ([1e200, -1e200] * 5, "inf")], ids=["constant", "overflowing"])
+def test_run_adaptive_needs_returns_with_a_finite_positive_sd(monkeypatch, values, sd):
+    import garchmc.sampler as sampler
+
+    monkeypatch.setattr(sampler, "metropolis_warmup", lambda *args: pytest.fail("the warm-up ran"))
+    with pytest.raises(DomainError, match=f"got standard deviation {sd}"):
+        run_adaptive(small_config(), ReturnSeries(np.array(values)))
 
 
 # 80^3 and 100^3 GARCH grids move no mean by more than 0.006 posterior SD

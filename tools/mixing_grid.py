@@ -10,8 +10,9 @@ returns.  Each chain runs `run_adaptive` on 5000 warm-up sweeps, a pool of
 1000 and a refit every 100 draws, then `--samples` draws.  Per cell it prints the largest 2*tau_int over the
 parameters (inf where no window converges), the least window acceptance,
 the plateau (the mean acceptance of the last 10 windows, as summary.json
-has it) and the calls to the support predicate `model.in_support` per
-draw, which count the draw and its redraws.
+has it) and the rows the support predicate `model.in_support` tested per
+draw: the draw and its redraws, and, where the proposal draws a block at a
+time, the rows of each window's last block left unserved.
 
 Each input runs in a fresh interpreter per source tree (`--trees`), which
 imports garchmc from that tree's `src/`; the trees take turns to go first
@@ -58,7 +59,8 @@ def run_input(src, model_name, n, data_seed, chain_seeds, samples):
     in_support = model.in_support
 
     def counted(theta):
-        calls[0] += 1
+        # A proposal drawn a block at a time tests the block's rows in one call.
+        calls[0] += len(theta) if theta.ndim == 2 else 1
         return in_support(theta)
 
     # The sampler reads `model.in_support` when it builds each proposal.
